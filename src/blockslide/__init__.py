@@ -22,6 +22,7 @@ from .errors import (
     BlockslideError,
     DuplicateEdgeError,
     InstanceFormatError,
+    InternalError,
     InvalidPairError,
     InvalidParamsError,
     MissingSectionError,
@@ -65,5 +66,33 @@ from .potential import (
     restrict,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [
+    # blocks
+    "BlockDecomposition", "Pair", "TO_BLOCK", "TO_VERTEX", "beta", "decompose",
+    "is_block_graph", "kappa", "pairs", "side_vertices",
+    # decide
+    "Reason", "Verdict", "decide", "decide_connected", "rigid_vertices",
+    # errors
+    "BlockslideError", "DuplicateEdgeError", "InstanceFormatError",
+    "InternalError", "InvalidPairError", "InvalidParamsError",
+    "MissingSectionError", "NotABlockGraphError", "NotConnectedError",
+    "NotIndependentError", "SelfLoopError", "TruncatedSpaceError",
+    "VertexOutOfRangeError",
+    # gen
+    "GenParams", "SplitMix64", "gen_block_graph", "gen_independent_set",
+    # graph
+    "Graph", "TokenSet", "connected_components", "is_independent",
+    "is_under_attack", "new_graph",
+    # instance
+    "Instance", "parse_instance", "render_instance",
+    # invariants
+    "DepthTable", "UaTable", "compute_depths", "compute_ua",
+    # oracle
+    "NO", "UNKNOWN", "YES", "OracleLimits", "StateSpace", "enumerate_reachable",
+    "never_token_vertices", "oracle_potential", "oracle_potential_table",
+    "oracle_reachable", "successors",
+    # potential
+    "PotentialTable", "Restriction", "capacity", "capacity_table",
+    "compute_potentials", "restrict",
+]
 __version__ = "0.1.0"

@@ -8,6 +8,7 @@ so fuzz failures replay bit-for-bit.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 
 from .errors import InvalidPairError
@@ -35,10 +36,6 @@ class Pair:
     @property
     def is_to_vertex(self):
         return self.direction == TO_VERTEX
-
-    def sort_key(self):
-        # ToVertex before ToBlock at equal (base, block)
-        return (self.base, self.block, 0 if self.is_to_vertex else 1)
 
     def __repr__(self):
         if self.is_to_vertex:
@@ -69,6 +66,7 @@ class BlockDecomposition:
             v for v in range(graph.n) if len(self.blocks_of[v]) >= 2
         )
         self._side_cache = {}
+        self._index = None
         self._pairs = None
 
     # --- block-cut tree queries -------------------------------------------
@@ -81,17 +79,33 @@ class BlockDecomposition:
         """Block ids incident to cut vertex `u` in the block-cut tree."""
         return self.blocks_of[u]
 
+    def index(self):
+        """The integer pair index (see PairIndex), built once and cached."""
+        if self._index is None:
+            self._index = PairIndex(self)
+        return self._index
+
     def pairs(self):
-        """Both orientations of every tree edge, in canonical order."""
+        """Both orientations of every tree edge, in canonical order: by
+        base, then block, (B,u) before (u,B).  Position i holds pair id i."""
         if self._pairs is None:
-            out = []
-            for u in sorted(self.cut_vertices):
-                for bid in self.blocks_of[u]:
-                    out.append(Pair(TO_VERTEX, u, bid))
-                    out.append(Pair(TO_BLOCK, u, bid))
-            out.sort(key=Pair.sort_key)
-            self._pairs = tuple(out)
+            ix = self.index()
+            self._pairs = tuple(
+                Pair(TO_BLOCK if p & 1 else TO_VERTEX, u, b)
+                for p, (u, b) in enumerate(zip(ix.base, ix.block))
+            )
         return self._pairs
+
+    def pair_id(self, p):
+        """Integer id of pair p, its position in pairs()."""
+        ix = self.index()
+        x = ix.cut_node.get(p.base)
+        if x is not None:
+            blocks = self.blocks_of[p.base]
+            j = bisect_left(blocks, p.block)
+            if j < len(blocks) and blocks[j] == p.block:
+                return ix.into[x][j] + (0 if p.is_to_vertex else 1)
+        raise InvalidPairError(f"pair {p} is not valid for this decomposition")
 
     def check_pair(self, p):
         if (
@@ -201,6 +215,90 @@ class BlockDecomposition:
                         seen.add(node)
                         stack.append(node)
         return count
+
+
+class PairIndex:
+    """Integer ids for the pairs of a decomposition, in flat lists.
+
+    Pair 2k is (B,u) and pair 2k+1 is (u,B) for the k-th tree edge u--B of
+    the canonical order, so a pair's direction is its low bit (0 for
+    TO_VERTEX) and its reverse is p ^ 1.  base[p] and block[p] name it.
+
+    Tree nodes are numbered blocks first (node B is block B), then cut
+    vertices in increasing order; cut_node maps a cut vertex to its node.
+    node[p] is the node p's side starts from: B for (B,u), u for (u,B).
+    into[x] lists the pairs whose sides lie beyond x's tree edges: the
+    (v,B) pairs of block B, or the (B,u) pairs of cut vertex u, each in
+    canonical order.  A pair depends on into[node[p]] without p ^ 1, so
+    len(into[B]) is B's cut-vertex count.
+
+    order is one rooted order of each tree of the block-cut forest, rooted
+    at its lowest block, in which every pair follows its dependencies.  Its
+    first half holds the pairs whose side is the subtree below a tree edge,
+    children before parents; its second half holds their reverses, parents
+    before children, with the pairs sharing a node next to each other.  A
+    pass over it can read, for each pair, totals over into[node[p]] minus
+    the reverse p ^ 1: in the first half the reverse is the one pair of the
+    list not yet computed, so its starting value must add nothing to the
+    totals; in the second half each node's totals serve all its pairs, and
+    consecutive pairs share a node only there.
+    """
+
+    __slots__ = ("base", "block", "node", "into", "cut_node", "order")
+
+    def __init__(self, bd):
+        base, block, node = [], [], []
+        into = [[] for _ in bd.blocks]
+        cut_node = {}
+        for u, blocks in enumerate(bd.blocks_of):
+            if len(blocks) < 2:
+                continue
+            x = cut_node[u] = len(into)
+            ids = []
+            for b in blocks:
+                p = len(base)
+                ids.append(p)
+                into[b].append(p + 1)
+                base += (u, u)
+                block += (b, b)
+                node += (b, x)
+            into.append(ids)
+
+        found = []  # first-half pairs in the order their node is reached
+        seen = bytearray(len(into))
+        for root in range(len(bd.blocks)):
+            if seen[root]:
+                continue
+            seen[root] = 1
+            stack = [root]
+            while stack:
+                for q in into[stack.pop()]:
+                    child = node[q]
+                    if not seen[child]:
+                        seen[child] = 1
+                        found.append(q)
+                        stack.append(child)
+        self.base, self.block, self.node, self.into = base, block, node, into
+        self.cut_node = cut_node
+        self.order = found[::-1] + [q ^ 1 for q in found]
+
+
+class PairTable:
+    """One value per pair, stored by pair id; table[pair] reads one."""
+
+    __slots__ = ("decomposition", "array")
+
+    def __init__(self, bd, array):
+        self.decomposition = bd
+        self.array = array
+
+    def __getitem__(self, p):
+        return self.array[self.decomposition.pair_id(p)]
+
+    @property
+    def values(self):
+        """The table as a dict keyed by Pair."""
+        return dict(zip(self.decomposition.pairs(), self.array))
 
 
 def _biconnected_blocks(graph):

@@ -1,7 +1,8 @@
 """Command-line surface.
 
 Exit codes: 0 for a clean run (both YES and NO answers), 1 for a fuzz
-discrepancy, 2 for input errors, 3 for a non-block-graph input.
+discrepancy, 2 for input errors, 3 for a non-block-graph input, 4 for an
+internal invariant that failed (a bug in blockslide, not in the input).
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ import sys
 
 from .blocks import decompose, is_block_graph
 from .decide import decide
-from .errors import BlockslideError, NotABlockGraphError
+from .errors import BlockslideError, InternalError, NotABlockGraphError
 from .fuzz import FuzzEnvelope, gen_fuzz_instance, check_instance
 from .gen import GenParams, SplitMix64, gen_block_graph, gen_independent_set
 from .graph import TokenSet, connected_components
@@ -24,6 +25,7 @@ EXIT_OK = 0
 EXIT_FUZZ_FAILURE = 1
 EXIT_INPUT_ERROR = 2
 EXIT_NOT_BLOCK_GRAPH = 3
+EXIT_INTERNAL_ERROR = 4
 
 
 def _load_instance(path):
@@ -47,16 +49,14 @@ def _print_component_potentials(g, tokens, out, labels=None):
     depths = compute_depths(bd)
     ua = compute_ua(bd, depths)
     pot = compute_potentials(bd, ua, tokens)
-    for p in bd.pairs():
+    rows = zip(bd.pairs(), pot.array, ua.array, depths.array)
+    for p, x, a, d in rows:
         u = labels[p.base]
         if p.is_to_vertex:
             arrow = f"B{p.block}->{u}"
         else:
             arrow = f"{u}->B{p.block}"
-        print(
-            f"pot {arrow} = {pot[p]} ua={int(ua[p])} d={depths[p]}",
-            file=out,
-        )
+        print(f"pot {arrow} = {x} ua={int(a)} d={d}", file=out)
 
 
 def cmd_potentials(args, out):
@@ -180,6 +180,9 @@ def main(argv=None, out=None):
     except NotABlockGraphError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NOT_BLOCK_GRAPH
+    except InternalError as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL_ERROR
     except (BlockslideError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR

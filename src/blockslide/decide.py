@@ -12,8 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 
-from .blocks import TO_BLOCK, TO_VERTEX, Pair, decompose, is_block_graph
-from .errors import NotABlockGraphError, NotIndependentError
+from .blocks import decompose, is_block_graph
+from .errors import InternalError, NotABlockGraphError, NotIndependentError
 from .graph import TokenSet, connected_components, is_independent
 from .invariants import compute_depths, compute_ua
 from .potential import compute_potentials
@@ -33,26 +33,25 @@ class Verdict:
     details: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        assert self.reachable == (self.reason is Reason.REACHABLE)
+        if self.reachable != (self.reason is Reason.REACHABLE):
+            raise InternalError(
+                f"verdict reachable={self.reachable} with reason {self.reason}"
+            )
 
 
 def rigid_vertices(bd, ua, pot):
     """Cut vertices with two incident (B,u) sides at potential 0, ua True."""
-    rigid = set()
-    for u in bd.cut_vertices:
-        hits = 0
-        for bid in bd.blocks_of[u]:
-            p = Pair(TO_VERTEX, u, bid)
-            if pot[p] == 0 and ua[p]:
-                hits += 1
-                if hits >= 2:
-                    rigid.add(u)
-                    break
-    for u in rigid:
+    ix = bd.index()
+    ua, pot = ua.array, pot.array
+    rigid = []
+    for u, x in ix.cut_node.items():
+        sides = ix.into[x]  # the (B,u) pairs of u; q ^ 1 is (u,B)
+        if sum(1 for q in sides if pot[q] == 0 and ua[q]) < 2:
+            continue
         # rigidity forces every outward side of u to ua True / potential 0
-        for bid in bd.blocks_of[u]:
-            q = Pair(TO_BLOCK, u, bid)
-            assert ua[q] and pot[q] == 0, f"rigid vertex {u} violates ua/pot"
+        if not all(ua[q ^ 1] and pot[q ^ 1] == 0 for q in sides):
+            raise InternalError(f"rigid vertex {u} violates ua/pot")
+        rigid.append(u)
     return frozenset(rigid)
 
 
@@ -81,6 +80,20 @@ def decide_connected(g, bd, c1, c2):
     if any(n1 != n2 for _, n1, n2 in counts):
         return Verdict(False, Reason.COMPONENT_COUNT_MISMATCH, details)
     return Verdict(True, Reason.REACHABLE, details)
+
+
+def _in_original_ids(verdict, to_orig):
+    """The same verdict with its vertex sets renamed by to_orig."""
+    details = {
+        key: frozenset(to_orig[v] for v in verdict.details[key])
+        for key in ("rigid_source", "rigid_target")
+    }
+    if "component_counts" in verdict.details:
+        details["component_counts"] = [
+            (frozenset(to_orig[v] for v in comp), n1, n2)
+            for comp, n1, n2 in verdict.details["component_counts"]
+        ]
+    return Verdict(verdict.reachable, verdict.reason, details)
 
 
 def decide(g, c1, c2):
@@ -121,7 +134,9 @@ def decide(g, c1, c2):
         sub, to_sub, to_orig = g.induced(sorted(comp))
         s1 = TokenSet(sub, [to_sub[v] for v in c1 if v in comp])
         s2 = TokenSet(sub, [to_sub[v] for v in c2 if v in comp])
-        verdict = decide_connected(sub, decompose(sub), s1, s2)
+        verdict = _in_original_ids(
+            decide_connected(sub, decompose(sub), s1, s2), to_orig
+        )
         details["components"].append((frozenset(comp), verdict))
         if not verdict.reachable:
             return Verdict(False, verdict.reason, details)

@@ -64,3 +64,8 @@ class MissingSectionError(InstanceFormatError):
     def __init__(self, section):
         super().__init__(f"missing required section '{section}'")
         self.section = section
+
+
+class InternalError(BlockslideError):
+    """An internal invariant failed: a bug in this package, not bad input.
+    Raised explicitly so the check also runs under ``python -O``."""

@@ -14,7 +14,7 @@ from .decide import decide, rigid_vertices
 from .gen import GenParams, SplitMix64, gen_block_graph, gen_independent_set
 from .graph import TokenSet
 from .instance import Instance
-from .invariants import _postorder, compute_depths, compute_ua
+from .invariants import compute_depths, compute_ua
 from .oracle import (
     OracleLimits,
     enumerate_reachable,
@@ -79,7 +79,6 @@ def evaluate_instance(inst, lim=OracleLimits()):
     bd = decompose(g)
     depths = compute_depths(bd)
     ua = compute_ua(bd, depths)
-    order = _postorder(bd)
     pair_list = bd.pairs()
     m = len(bd.blocks)
     ncut = len(bd.cut_vertices)
@@ -94,7 +93,7 @@ def evaluate_instance(inst, lim=OracleLimits()):
                 ("iteration",
                  f"{name}: iteration_count {pot.iteration_count} > bound {iter_bound}")
             )
-        caps = capacity_table(bd, ua, c.mask, order)
+        caps = capacity_table(bd, ua, c.mask)
         for p in pair_list:
             cap = caps[p]
             if cap < 0:

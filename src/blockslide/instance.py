@@ -39,6 +39,18 @@ def _parse_int(token, lineno, what):
         raise InstanceFormatError(f"expected integer {what}, got {token!r}", lineno)
 
 
+def _parse_tokens(fields, lineno, which):
+    """Vertex ids of a token line; a repeated id is an error, since a token
+    set cannot hold one vertex twice."""
+    vs = [_parse_int(f, lineno, f"{which} vertex") for f in fields]
+    seen = set()
+    for v in vs:
+        if v in seen:
+            raise InstanceFormatError(f"{which} vertex {v} repeated", lineno)
+        seen.add(v)
+    return vs
+
+
 def parse_instance(text):
     n = m = None
     edges = []
@@ -75,11 +87,11 @@ def parse_instance(text):
         elif tag == "s":
             if source is not None:
                 raise InstanceFormatError("duplicate source line", lineno)
-            source = [_parse_int(f, lineno, "source vertex") for f in fields[1:]]
+            source = _parse_tokens(fields[1:], lineno, "source")
         elif tag == "t":
             if target is not None:
                 raise InstanceFormatError("duplicate target line", lineno)
-            target = [_parse_int(f, lineno, "target vertex") for f in fields[1:]]
+            target = _parse_tokens(fields[1:], lineno, "target")
         else:
             raise InstanceFormatError(f"unknown line tag {tag!r}", lineno)
 

@@ -2,94 +2,70 @@
 
 Both are defined by mutual recursion over the block-cut tree: a (B,u) pair
 depends on the (v,B) pairs for v in kappa(B,u), and a (u,B) pair depends on
-the (B',u) pairs for B' in beta(u,B).  Every dependency is strictly deeper
-in the tree, so the recursion is well founded.  Evaluation uses an explicit
-work stack so path-like graphs with depth on the order of n cannot blow the
-call stack.
+the (B',u) pairs for B' in beta(u,B).  In the pair index these are the
+pairs into[node[p]] other than p ^ 1, and each table is one pass over the
+index's rooted order.  A pair reads totals over its node's list minus its
+own reverse: the two largest depths, or the count of ua pairs.  Each
+node's totals are taken once for all its pairs, so a node of degree d
+costs O(d).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .blocks import TO_BLOCK, TO_VERTEX, Pair
+from .blocks import PairTable
 
 
-def _dependencies(bd, p):
-    if p.is_to_vertex:
-        return [Pair(TO_BLOCK, v, p.block) for v in sorted(bd.kappa(p.block, p.base))]
-    deps = [Pair(TO_VERTEX, p.base, b) for b in bd.beta(p.base, p.block)]
-    # A cut vertex lies in at least two blocks, so beta is never empty here.
-    assert deps, "beta(u,B) empty for a cut vertex; decomposition is broken"
-    return deps
+class DepthTable(PairTable):
+    """d(p) for every pair."""
+
+    __slots__ = ()
 
 
-def _postorder(bd):
-    """All pairs in an order where dependencies precede dependents."""
-    order = []
-    state = {}  # pair -> 1 (open) or 2 (done)
-    for start in bd.pairs():
-        if state.get(start) == 2:
-            continue
-        stack = [(start, False)]
-        while stack:
-            p, expanded = stack.pop()
-            if expanded:
-                state[p] = 2
-                order.append(p)
-                continue
-            if state.get(p) == 2:
-                continue
-            state[p] = 1
-            stack.append((p, True))
-            for dep in _dependencies(bd, p):
-                if state.get(dep) != 2:
-                    stack.append((dep, False))
-    return order
+class UaTable(PairTable):
+    """ua(p) for every pair."""
 
-
-@dataclass(frozen=True)
-class DepthTable:
-    values: dict
-
-    def __getitem__(self, p):
-        return self.values[p]
-
-
-@dataclass(frozen=True)
-class UaTable:
-    values: dict
-
-    def __getitem__(self, p):
-        return self.values[p]
+    __slots__ = ()
 
 
 def compute_depths(bd):
-    d = {}
-    for p in _postorder(bd):
-        if p.is_to_vertex:
-            kap = bd.kappa(p.block, p.base)
-            if not kap:
-                d[p] = 0
-            else:
-                d[p] = 1 + max(d[Pair(TO_BLOCK, v, p.block)] for v in kap)
-        else:
-            bet = bd.beta(p.base, p.block)
-            d[p] = 1 + max(d[Pair(TO_VERTEX, p.base, b)] for b in bet)
-    return DepthTable(d)
+    """d(p): 0 for a (B,u) pair with no dependency, else one more than the
+    largest depth among its dependencies."""
+    ix = bd.index()
+    node, into = ix.node, ix.into
+    d = [-1] * len(node)  # -1 is below every depth, so it adds nothing
+    last = -1
+    for p in ix.order:
+        x = node[p]
+        if x != last:
+            last = x
+            top = second = -1  # the two largest depths at x, with repeats
+            for v in map(d.__getitem__, into[x]):
+                if v > top:
+                    top, second = v, top
+                elif v > second:
+                    second = v
+        d[p] = 1 + (second if d[p ^ 1] == top else top)
+    return DepthTable(bd, d)
 
 
 def compute_ua(bd, depths):
-    ua = {}
-    for p in _postorder(bd):
-        if depths[p] == 0:
+    """ua(p): True at depth 0; for (B,u) False exactly when every vertex of
+    B is a cut vertex and every (v,B) has ua; for (u,B) True when some
+    (B',u) has ua."""
+    ix = bd.index()
+    node, into, d = ix.node, ix.into, depths.array
+    # a block made only of cut vertices: kappa(B,u) | {u} == B
+    all_cuts = [len(into[b]) == len(members) for b, members in enumerate(bd.blocks)]
+    ua = [False] * len(node)
+    last = -1
+    for p in ix.order:
+        x = node[p]
+        if x != last:
+            last = x
+            true_count = sum(map(ua.__getitem__, into[x]))
+        if d[p] == 0:
             ua[p] = True
-        elif p.is_to_vertex:
-            kap = bd.kappa(p.block, p.base)
-            all_inner = all(ua[Pair(TO_BLOCK, v, p.block)] for v in kap)
-            block_is_cuts = bd.blocks[p.block] == kap | {p.base}
-            ua[p] = not (all_inner and block_is_cuts)
-        else:
-            bet = bd.beta(p.base, p.block)
-            ua[p] = any(ua[Pair(TO_VERTEX, p.base, b)] for b in bet)
-    return UaTable(ua)
+            continue
+        inner = true_count - ua[p ^ 1]
+        ua[p] = inner > 0 if p & 1 else not (inner == len(into[x]) - 1 and all_cuts[x])
+    return UaTable(bd, ua)

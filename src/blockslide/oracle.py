@@ -11,7 +11,6 @@ import time
 from dataclasses import dataclass, field
 
 from .graph import TokenSet
-from .invariants import _postorder
 from .potential import capacity_table
 from .errors import TruncatedSpaceError
 
@@ -118,10 +117,9 @@ def oracle_potential(g, bd, ua, c, p, lim=OracleLimits()):
     side = bd.side_mask(p)
     base_bit = 1 << p.base
     start_interior = (c.mask & side & ~base_bit).bit_count()
-    order = _postorder(bd)
     best = None
     for mask in space.visited:
-        cap = capacity_table(bd, ua, mask, order)[p]
+        cap = capacity_table(bd, ua, mask)[p]
         interior = (mask & side & ~base_bit).bit_count()
         value = cap + interior - start_interior
         if best is None or value > best:
@@ -140,13 +138,12 @@ def oracle_potential_table(g, bd, ua, c, lim=OracleLimits(), space=None):
         space = enumerate_reachable(g, c, lim)
     if space.truncated:
         return None
-    order = _postorder(bd)
     pair_list = bd.pairs()
     sides = [(bd.side_mask(p) & ~(1 << p.base)) for p in pair_list]
     start_interiors = [(c.mask & s).bit_count() for s in sides]
     best = [None] * len(pair_list)
     for mask in space.visited:
-        caps = capacity_table(bd, ua, mask, order)
+        caps = capacity_table(bd, ua, mask)
         for i, p in enumerate(pair_list):
             value = caps[p] + (mask & sides[i]).bit_count() - start_interiors[i]
             if best[i] is None or value > best[i]:

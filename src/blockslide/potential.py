@@ -1,23 +1,37 @@
-"""Capacity of per-pair token restrictions and the fixed-point potential
-computation.
+"""Capacities of per-pair token restrictions and the fixed-point potentials.
 
-capacity() evaluates the two-branch recursion over the block-cut tree for a
-single pair.  compute_potentials() is a faithful transcription of the
-fixed-point procedure: initialise every pair to 0, sweep the pairs in
-canonical order, recompute a candidate value per pair, and on the first
-strict increase assign it and restart the sweep.  Final values are
-order-independent; the recorded iteration_count is order-dependent and only
-meaningful against its stated upper bound.
+Both run over the flat lists of the pair index (BlockDecomposition.index).
+Each pair's equation has a constant term: ua(p), minus, for a (B,u) pair,
+the tokens of B other than u.  The capacity is one pass over the index's
+rooted order, in which a pair reads its node's totals minus its reverse.
+
+The potential is the least fixed point above 0 of G(y) = max(y, F(y)),
+where F is the right-hand side of the potential equations:
+
+    F(B,u) = sum of y(v,B) over v in kappa(B,u) + ua(B,u) - tokens of B but u
+    F(u,B) = sum of y(B',u) - ua(B',u) over B' in beta(u,B) + ua(u,B),
+             except that y(u,B) stays as it is while at least two
+             (B',u), B' any block of u, have y = 0 and ua
+
+G is monotone and inflationary, so iterating it one pair at a time in any
+fair order from 0 reaches that fixed point L.  compute_potentials starts
+from the capacities instead, and keeps a worklist of pairs whose inputs
+changed.  The start gives the same L: C itself is reachable from C, so
+0 <= cap <= L; each step is monotone and L is fixed, so every iterate from
+cap stays at most L, and the fixed point M it reaches is at least cap >= 0.
+The iterates from 0 stay below any fixed point at least 0, M included, so
+L <= M <= L.  iteration_count is the number of increases plus one: with
+every increase at least 1 and each L(p) at most the blocks on p's side,
+it stays within 2m(ncut+m-1)+1 for m blocks and ncut cut vertices.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .blocks import TO_BLOCK, TO_VERTEX, Pair
-from .errors import NotConnectedError
+from .blocks import Pair, PairTable
+from .errors import InternalError, NotConnectedError
 from .graph import TokenSet, connected_components
-from .invariants import _postorder
 
 
 @dataclass(frozen=True)
@@ -36,104 +50,122 @@ def restrict(bd, c, p):
     return Restriction(p, TokenSet._from_mask(tokens), TokenSet._from_mask(interior))
 
 
-def _tokens_in_block_interior(bd, mask, bid, base):
-    """|B ∩ interior(C[B,u])|: tokens inside block B other than the base."""
-    return (mask & bd.block_masks[bid] & ~(1 << base)).bit_count()
+def _constants(bd, ua, vertices):
+    """Per pair id: ua(p), minus for (B,u) the tokens of B other than u."""
+    ix = bd.index()
+    into, base = ix.into, ix.base
+    const = list(map(int, ua))
+    for v in vertices:
+        for b in bd.blocks_of[v]:
+            for q in into[b]:  # the (u,B) pairs of B; q ^ 1 is (B,u)
+                if base[q] != v:
+                    const[q ^ 1] -= 1
+    return const
 
 
-def capacity_table(bd, ua, mask, order=None):
-    """Capacity of C[p] for every pair p, as a dict, for token bitmask C.
-
-    `order` is a cached dependency-respecting pair order (see _postorder);
-    passing it in lets callers amortise it across many token sets.
-    """
-    if order is None:
-        order = _postorder(bd)
-    cap = {}
-    for p in order:
-        if p.is_to_vertex:
-            bid, u = p.block, p.base
-            total = sum(cap[Pair(TO_BLOCK, v, bid)] for v in bd.kappa(bid, u))
-            value = total + int(ua[p]) - _tokens_in_block_interior(bd, mask, bid, u)
+def _capacities(bd, ua, const):
+    """cap(C[p]) for every pair id, from the constants of token set C."""
+    ix = bd.index()
+    node, into = ix.node, ix.into
+    cap = [0] * len(node)
+    last = -1
+    for p in ix.order:
+        x, r = node[p], p ^ 1
+        if x != last:
+            last = x
+            qs = into[x]
+            total = sum(map(cap.__getitem__, qs))
+            if p & 1:
+                if len(qs) < 2:
+                    raise InternalError(f"beta is empty at pair id {p}")
+                total -= sum(map(ua.__getitem__, qs))
+                zeros = sum([1 for q in qs if cap[q] == 0 and ua[q]])
+        if not p & 1:
+            value = total - cap[r] + const[p]
+        elif zeros - (cap[r] == 0 and ua[r]):
+            value = 0
         else:
-            u, bid = p.base, p.block
-            children = [Pair(TO_VERTEX, u, b) for b in bd.beta(u, bid)]
-            if any(cap[q] == 0 and ua[q] for q in children):
-                value = 0
-            else:
-                value = sum(cap[q] - int(ua[q]) for q in children) + int(ua[p])
-        assert value >= 0, f"negative capacity at {p}; implementation bug"
+            value = total - (cap[r] - ua[r]) + const[p]
+        if value < 0:
+            raise InternalError(f"negative capacity at pair id {p}")
         cap[p] = value
     return cap
 
 
+def capacity_table(bd, ua, mask):
+    """Capacity of C[p] for every pair p, as a dict, for token bitmask C."""
+    const = _constants(bd, ua.array, TokenSet._from_mask(mask).vertices)
+    return dict(zip(bd.pairs(), _capacities(bd, ua.array, const)))
+
+
 def capacity(bd, ua, c, p):
     """cap(C[p]) for the restriction of token set c to pair p."""
-    bd.check_pair(p)
-    return capacity_table(bd, ua, c.mask)[p]
+    i = bd.pair_id(p)
+    return _capacities(bd, ua.array, _constants(bd, ua.array, c.vertices))[i]
 
 
-@dataclass(frozen=True)
-class PotentialTable:
-    values: dict
-    iteration_count: int
+class PotentialTable(PairTable):
+    """Potentials for every pair, plus the fixed point's iteration_count."""
 
-    def __getitem__(self, p):
-        return self.values[p]
+    __slots__ = ("iteration_count",)
+
+    def __init__(self, bd, array, iteration_count):
+        super().__init__(bd, array)
+        self.iteration_count = iteration_count
 
 
 def compute_potentials(bd, ua, c):
-    """Fixed-point potentials for every pair, plus the number of sweep
-    passes executed.  Requires a connected host graph."""
+    """Fixed-point potentials for every pair, plus the number of increases
+    plus one.  Requires a connected host graph."""
     g = bd.graph
     if g.n > 0 and len(connected_components(g)) != 1:
         raise NotConnectedError("compute_potentials requires a connected graph")
 
-    pair_list = bd.pairs()
-    index = {p: i for i, p in enumerate(pair_list)}
-    npairs = len(pair_list)
-    ua_arr = [int(ua[p]) for p in pair_list]
+    ix = bd.index()
+    node, into = ix.node, ix.into
+    ua = ua.array
+    const = _constants(bd, ua, c.vertices)
+    y = _capacities(bd, ua, const)
+    # Running totals per node x, over the pairs into[x]: for a block, the
+    # sum of y; for a cut vertex, the sum of y - ua and the count of pairs
+    # with y = 0 and ua, which blocks the vertex's (u,B) pairs at two.
+    nblocks = len(bd.blocks)
+    total = [sum(map(y.__getitem__, qs)) for qs in into[:nblocks]]
+    total += [
+        sum(map(y.__getitem__, qs)) - sum(map(ua.__getitem__, qs))
+        for qs in into[nblocks:]
+    ]
+    zeros = [0] * nblocks
+    zeros += [sum([1 for q in qs if y[q] == 0 and ua[q]]) for qs in into[nblocks:]]
 
-    # Per-pair precomputation: dependency indices and constants.
-    deps = [None] * npairs
-    const = [0] * npairs
-    siblings = [None] * npairs  # for (u,B): indices of (B',u) over ALL blocks of u
-    for i, p in enumerate(pair_list):
-        if p.is_to_vertex:
-            deps[i] = [
-                index[Pair(TO_BLOCK, v, p.block)] for v in bd.kappa(p.block, p.base)
-            ]
-            const[i] = ua_arr[i] - _tokens_in_block_interior(
-                bd, c.mask, p.block, p.base
-            )
+    # Seeded in the rooted order, most pairs are first evaluated after their
+    # dependencies.  On random block graphs of 2,000-4,000 blocks that took
+    # 8 to 26 times fewer increases than seeding in canonical order.
+    pending = ix.order[::-1]
+    queued = bytearray(b"\x01") * len(y)
+    increases = 0
+    while pending:
+        p = pending.pop()
+        queued[p] = 0
+        x, r = node[p], p ^ 1
+        if not p & 1:
+            candidate = total[x] - y[r] + const[p]
+        elif zeros[x] >= 2:
+            continue
         else:
-            deps[i] = [
-                index[Pair(TO_VERTEX, p.base, b)] for b in bd.beta(p.base, p.block)
-            ]
-            siblings[i] = [
-                index[Pair(TO_VERTEX, p.base, b)] for b in bd.blocks_of[p.base]
-            ]
-            const[i] = ua_arr[i]
-
-    y = [0] * npairs
-    iterations = 0
-    updated = True
-    while updated:
-        iterations += 1
-        updated = False
-        for i, p in enumerate(pair_list):
-            if p.is_to_vertex:
-                candidate = sum(y[j] for j in deps[i]) + const[i]
-            else:
-                blocked = (
-                    sum(1 for j in siblings[i] if y[j] == 0 and ua_arr[j]) >= 2
-                )
-                if blocked:
-                    continue
-                candidate = sum(y[j] - ua_arr[j] for j in deps[i]) + const[i]
-            if y[i] < candidate:
-                y[i] = candidate
-                updated = True
-                break
-
-    return PotentialTable({p: y[i] for i, p in enumerate(pair_list)}, iterations)
+            candidate = total[x] - (y[r] - ua[r]) + const[p]
+        if candidate <= y[p]:
+            continue
+        increases += 1
+        # p is one of into[held]: update held's totals, requeue its reverses
+        held = node[r]
+        total[held] += candidate - y[p]
+        if not p & 1 and y[p] == 0 and ua[p]:
+            zeros[held] -= 1
+        y[p] = candidate
+        for q in into[held]:
+            q ^= 1
+            if not queued[q]:
+                queued[q] = 1
+                pending.append(q)
+    return PotentialTable(bd, y, increases + 1)

@@ -1,6 +1,6 @@
 """End-to-end acceptance suite.
 
-A single 10,000-seed corpus is evaluated once (module-scoped fixture) and
+A single 12,000-seed corpus is evaluated once (module-scoped fixture) and
 the per-category tallies back the first six checks; the remaining checks
 use dedicated fixtures.  Each test emits one PASS/FAIL line directly to the
 terminal, bypassing capture, so a full run reads as a scorecard.

@@ -67,6 +67,9 @@ def test_check_pair_rejects_non_cut_base(k4_pendant):
         bd.check_pair(Pair(TO_VERTEX, 1, 0))
     with pytest.raises(InvalidPairError):
         bd.check_pair(Pair(TO_VERTEX, 0, 7))
+    for bad in (Pair(TO_VERTEX, 1, 0), Pair(TO_BLOCK, 0, 7), Pair(TO_BLOCK, 9, 0)):
+        with pytest.raises(InvalidPairError):
+            bd.pair_id(bad)
 
 
 def test_is_block_graph():
@@ -121,6 +124,38 @@ def test_opposite_sides_cover_graph(idx):
             assert a & b == frozenset({u})
             # corpus graphs are connected, so the two sides cover V
             assert a | b == frozenset(range(g.n))
+
+
+def check_pair_index(bd):
+    pairs = bd.pairs()
+    ix = bd.index()
+    assert list(pairs) == sorted(
+        pairs, key=lambda p: (p.base, p.block, 0 if p.is_to_vertex else 1)
+    )
+    position = {p: i for i, p in enumerate(ix.order)}
+    assert sorted(position) == list(range(len(pairs)))
+    for i, p in enumerate(pairs):
+        assert bd.pair_id(p) == i
+        assert pairs[i ^ 1] == p.reverse()
+        assert (ix.base[i], ix.block[i], i & 1) == (p.base, p.block, int(not p.is_to_vertex))
+        if p.is_to_vertex:
+            deps = [Pair(TO_BLOCK, v, p.block) for v in bd.kappa(p.block, p.base)]
+        else:
+            deps = [Pair(TO_VERTEX, p.base, b) for b in bd.beta(p.base, p.block)]
+        dep_ids = {bd.pair_id(q) for q in deps}
+        assert dep_ids == set(ix.into[ix.node[i]]) - {i ^ 1}
+        assert all(position[q] < position[i] for q in dep_ids)
+
+
+@pytest.mark.parametrize("idx", range(0, 120, 4))
+def test_pair_index_matches_pairs(idx):
+    check_pair_index(decompose(CORPUS[idx].graph))
+
+
+def test_pair_index_on_a_forest():
+    # two P3s, a K3 with a pendant, and an isolated vertex
+    g = Graph(11, [(0, 1), (1, 2), (3, 4), (4, 5), (6, 7), (7, 8), (6, 8), (8, 9)])
+    check_pair_index(decompose(g))
 
 
 @pytest.mark.parametrize("idx", range(0, 120, 4))

@@ -1,4 +1,8 @@
 import io
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -50,6 +54,35 @@ def test_missing_file_exit_2():
 def test_malformed_file_exit_2(tmp_path):
     code, out = run(["decide", write(tmp_path, "p 2 0\ns 1\n")])
     assert code == 2
+
+
+def test_repeated_token_vertex_exit_2(tmp_path, capsys):
+    code, out = run(["decide", write(tmp_path, "p 3 2\ne 1 2\ne 2 3\ns 1 1\nt 3\n")])
+    assert code == 2
+    assert out == ""
+    assert "line 4" in capsys.readouterr().err
+
+
+def test_internal_error_exit_4_under_optimize(tmp_path):
+    """Under python -O a contradictory Verdict still raises InternalError,
+    and the CLI maps it to exit code 4."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    script = (
+        "import sys\n"
+        "if __debug__:\n"
+        "    sys.exit('not running under -O')\n"
+        "import blockslide.cli as cli\n"
+        "from blockslide import Reason, Verdict\n"
+        "cli.decide = lambda g, c1, c2: Verdict(True, Reason.RIGID_MISMATCH)\n"
+        "sys.exit(cli.main(['decide', sys.argv[1]]))\n"
+    )
+    result = subprocess.run(
+        [sys.executable, "-O", "-c", script, write(tmp_path, PATH3)],
+        env=dict(os.environ, PYTHONPATH=str(src)),
+        capture_output=True, text=True, timeout=60,
+    )
+    assert result.returncode == 4, result.stderr
+    assert "internal error" in result.stderr
 
 
 def test_potentials_output(tmp_path):

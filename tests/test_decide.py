@@ -101,6 +101,21 @@ def test_verdict_details_present(star):
     assert "components" in v.details
 
 
+def test_component_details_use_original_ids():
+    # a P4 on 0..3 and a star centred at 4; tokens 5 and 6 pin the centre
+    g = Graph(8, [(0, 1), (1, 2), (2, 3), (4, 5), (4, 6), (4, 7)])
+    v = decide(g, [0, 5, 6], [0, 5, 6])
+    assert v.reachable
+    (path, path_verdict), (star, star_verdict) = v.details["components"]
+    assert path == {0, 1, 2, 3} and star == {4, 5, 6, 7}
+    assert path_verdict.details["rigid_source"] == frozenset()
+    assert star_verdict.details["rigid_source"] == frozenset({4})
+    assert star_verdict.details["rigid_target"] == frozenset({4})
+    assert star_verdict.details["component_counts"] == [
+        (frozenset({5}), 1, 1), (frozenset({6}), 1, 1), (frozenset({7}), 0, 0)
+    ]
+
+
 CORPUS = fuzz_corpus(150, seed=51)
 
 

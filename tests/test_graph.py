@@ -1,6 +1,9 @@
+import types
+
 import pytest
 from hypothesis import given, strategies as st
 
+import blockslide
 from blockslide import (
     DuplicateEdgeError,
     Graph,
@@ -105,3 +108,8 @@ def test_components_partition_vertices(n, data):
     assert sorted(seen) == list(range(n))
     for u, v in edges:
         assert any(u in comp and v in comp for comp in comps)
+
+
+def test_package_exports_no_submodules():
+    for name in blockslide.__all__:
+        assert not isinstance(getattr(blockslide, name), types.ModuleType), name

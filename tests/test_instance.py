@@ -107,6 +107,16 @@ def test_dependent_tokens_rejected():
     assert exc.value.which == "source"
 
 
+def test_repeated_token_vertex_rejected_with_line():
+    # P3 with "s 1 1" against "t 3" once answered YES: the repeat was dropped
+    with pytest.raises(InstanceFormatError) as exc:
+        parse_instance("p 3 2\ne 1 2\ne 2 3\ns 1 1\nt 3\n")
+    assert exc.value.line == 4
+    with pytest.raises(InstanceFormatError) as exc:
+        parse_instance("p 3 2\ne 1 2\ne 2 3\ns 1 3\n# target\nt 3 1 3\n")
+    assert exc.value.line == 6
+
+
 def test_render_format():
     g = Graph(2, [(0, 1)])
     inst = Instance(g, TokenSet(g, [0]), TokenSet(g, [1]))

@@ -1,0 +1,88 @@
+"""Metamorphic checks at sizes the brute-force oracle cannot reach.
+
+On each large graph, a target reached from the source by a random walk of
+legal slides must decide YES; for an arbitrary second token set of the same
+size, swapping source and target and relabelling the vertices must both
+keep the verdict.
+"""
+
+import random
+
+import pytest
+
+from blockslide import GenParams, Graph, TokenSet, decide, gen_block_graph, gen_independent_set
+
+
+def path(n):
+    return Graph(n, [(i, i + 1) for i in range(n - 1)])
+
+
+def star(leaves):
+    return Graph(leaves + 1, [(0, i) for i in range(1, leaves + 1)])
+
+
+def k4_chain(links):
+    """K4s in a row, each sharing one vertex with the next."""
+    edges = []
+    for k in range(links):
+        vs = range(3 * k, 3 * k + 4)
+        edges += [(a, b) for a in vs for b in vs if a < b]
+    return Graph(3 * links + 1, edges)
+
+
+# name: (graph, tokens for the walk, tokens for the second set).  On the
+# star, two leaf tokens pin the centre, so its walk moves a single token.
+CASES = {
+    "path-20000": (lambda: path(20_000), 4_000, 4_000),
+    "star-3000": (lambda: star(3_000), 1, 2),
+    "k4-chain": (lambda: k4_chain(2_000), 700, 700),
+    "random-blocks": (lambda: gen_block_graph(GenParams(5, 4_000, 5)), 1_500, 1_500),
+}
+
+
+def random_walk(g, tokens, steps, rng):
+    """Token set after `steps` attempted random slides, each kept only when
+    legal: the target vertex is free and has no token-carrying neighbour
+    other than the sliding token."""
+    placed = list(tokens)
+    occupied = set(placed)
+    for _ in range(steps):
+        i = rng.randrange(len(placed))
+        u = placed[i]
+        v = rng.choice(g.adjacency[u])
+        if v in occupied or any(w in occupied for w in g.adjacency[v] if w != u):
+            continue
+        occupied.remove(u)
+        occupied.add(v)
+        placed[i] = v
+    return TokenSet(g, placed)
+
+
+@pytest.fixture(scope="module", params=sorted(CASES))
+def case(request):
+    make, k_walk, k_other = CASES[request.param]
+    g = make()
+    assert g.n >= 3_000
+    return g, random.Random(request.param), k_walk, k_other
+
+
+def test_random_walk_target_is_reachable(case):
+    g, rng, k, _ = case
+    source = gen_independent_set(11, g, k)
+    target = random_walk(g, source, 5 * k + 100, rng)
+    assert len(target) == k
+    assert decide(g, source, target).reachable
+
+
+def test_swap_and_relabel_keep_verdict(case):
+    g, rng, _, k = case
+    source = gen_independent_set(12, g, k)
+    target = gen_independent_set(13, g, k)
+    verdict = decide(g, source, target).reachable
+    assert decide(g, target, source).reachable == verdict
+
+    perm = list(range(g.n))
+    rng.shuffle(perm)
+    h = Graph(g.n, [(perm[u], perm[v]) for u, v in g.edges])
+    relabelled = decide(h, [perm[v] for v in source], [perm[v] for v in target])
+    assert relabelled.reachable == verdict

@@ -17,6 +17,7 @@ from blockslide import (
     restrict,
 )
 from conftest import fuzz_corpus, slow_capacity
+from reference_potential import restart_sweep_potentials
 
 
 def setup(g):
@@ -53,9 +54,15 @@ def test_path3_capacities(path3):
 
 def test_path3_potentials(path3):
     bd, ua = setup(path3)
-    pot = compute_potentials(bd, ua, TokenSet(path3, [0]))
+    c = TokenSet(path3, [0])
+    pot = compute_potentials(bd, ua, c)
     assert [pot[p] for p in bd.pairs()] == [0, 1, 1, 0]
-    assert pot.iteration_count == 3
+    # the capacities are already the fixed point: no increase
+    assert pot.iteration_count == 1
+    # the restart sweep from 0 needs two increases
+    ref = restart_sweep_potentials(bd, ua, c)
+    assert [ref[p] for p in bd.pairs()] == [0, 1, 1, 0]
+    assert ref.iteration_count == 3
 
 
 def test_empty_token_set_capacity_equals_potential(k4_pendant):
@@ -117,6 +124,18 @@ def test_potentials_match_brute_force(idx):
         pot = compute_potentials(bd, ua, c)
         for p in bd.pairs():
             assert pot[p] == oracle_potential(g, bd, ua, c, p)
+
+
+@pytest.mark.parametrize("start", range(0, 3000, 500))
+def test_potentials_match_restart_sweep(start):
+    """The worklist from the capacities reaches the restart sweep's values
+    on fuzz seeds 0..2999, both token sets."""
+    for inst in fuzz_corpus(500, seed=start):
+        bd, ua = setup(inst.graph)
+        for c in (inst.source, inst.target):
+            assert compute_potentials(bd, ua, c).values == (
+                restart_sweep_potentials(bd, ua, c).values
+            )
 
 
 @pytest.mark.parametrize("idx", range(0, 80, 4))

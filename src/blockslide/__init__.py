@@ -10,12 +10,8 @@ from .blocks import (
     Pair,
     TO_BLOCK,
     TO_VERTEX,
-    beta,
     decompose,
     is_block_graph,
-    kappa,
-    pairs,
-    side_vertices,
 )
 from .decide import Reason, Verdict, decide, decide_connected, rigid_vertices
 from .errors import (
@@ -27,7 +23,6 @@ from .errors import (
     InvalidParamsError,
     MissingSectionError,
     NotABlockGraphError,
-    NotConnectedError,
     NotIndependentError,
     SelfLoopError,
     TruncatedSpaceError,
@@ -40,7 +35,6 @@ from .graph import (
     connected_components,
     is_independent,
     is_under_attack,
-    new_graph,
 )
 from .instance import Instance, parse_instance, render_instance
 from .invariants import DepthTable, UaTable, compute_depths, compute_ua
@@ -68,21 +62,20 @@ from .potential import (
 
 __all__ = [
     # blocks
-    "BlockDecomposition", "Pair", "TO_BLOCK", "TO_VERTEX", "beta", "decompose",
-    "is_block_graph", "kappa", "pairs", "side_vertices",
+    "BlockDecomposition", "Pair", "TO_BLOCK", "TO_VERTEX", "decompose",
+    "is_block_graph",
     # decide
     "Reason", "Verdict", "decide", "decide_connected", "rigid_vertices",
     # errors
     "BlockslideError", "DuplicateEdgeError", "InstanceFormatError",
     "InternalError", "InvalidPairError", "InvalidParamsError",
-    "MissingSectionError", "NotABlockGraphError", "NotConnectedError",
-    "NotIndependentError", "SelfLoopError", "TruncatedSpaceError",
-    "VertexOutOfRangeError",
+    "MissingSectionError", "NotABlockGraphError", "NotIndependentError",
+    "SelfLoopError", "TruncatedSpaceError", "VertexOutOfRangeError",
     # gen
     "GenParams", "SplitMix64", "gen_block_graph", "gen_independent_set",
     # graph
     "Graph", "TokenSet", "connected_components", "is_independent",
-    "is_under_attack", "new_graph",
+    "is_under_attack",
     # instance
     "Instance", "parse_instance", "render_instance",
     # invariants

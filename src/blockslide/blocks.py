@@ -71,14 +71,6 @@ class BlockDecomposition:
 
     # --- block-cut tree queries -------------------------------------------
 
-    def tree_neighbors_of_block(self, bid):
-        """Cut vertices incident to block `bid` in the block-cut tree."""
-        return tuple(v for v in sorted(self.blocks[bid]) if v in self.cut_vertices)
-
-    def tree_neighbors_of_cut(self, u):
-        """Block ids incident to cut vertex `u` in the block-cut tree."""
-        return self.blocks_of[u]
-
     def index(self):
         """The integer pair index (see PairIndex), built once and cached."""
         if self._index is None:
@@ -131,57 +123,39 @@ class BlockDecomposition:
         self.check_pair(Pair(TO_BLOCK, u, bid))
         return tuple(b for b in self.blocks_of[u] if b != bid)
 
+    def _side(self, p):
+        """(number of blocks, vertex set) of G[p], memoized by pair id.
+
+        The walk follows p's dependencies in the pair index: the side of
+        (B,u) is B plus the sides of the (v,B) with v != u, and the side of
+        (u,B) is u plus the sides of the (B',u) with B' != B.
+        """
+        i = self.pair_id(p)
+        side = self._side_cache.get(i)
+        if side is None:
+            ix = self.index()
+            count, verts = 0, {p.base}
+            stack = [i]
+            while stack:
+                q = stack.pop()
+                x = ix.node[q]
+                if not q & 1:  # (B,u) starts from node B, block B itself
+                    count += 1
+                    verts |= self.blocks[x]
+                stack += [r for r in ix.into[x] if r != q ^ 1]
+            side = self._side_cache[i] = (count, frozenset(verts))
+        return side
+
     def side_vertices(self, p):
-        """Vertex set of G[p], computed by block-tree traversal and memoized.
+        """Vertex set of G[p].
 
         For (B,u): all vertices of blocks on B's side of the tree edge u--B.
         For (u,B): all vertices of blocks on u's side, plus u itself.
         """
-        self.check_pair(p)
-        key = (p.direction, p.base, p.block)
-        cached = self._side_cache.get(key)
-        if cached is not None:
-            return cached
-        u, b0 = p.base, p.block
-        # Walk the block-cut tree from the appropriate endpoint of the
-        # removed edge u--B.  Nodes: ('c', vertex) and ('b', block id).
-        if p.is_to_vertex:
-            start = ("b", b0)
-        else:
-            start = ("c", u)
-        seen = {start}
-        stack = [start]
-        block_ids = []
-        while stack:
-            kind, x = stack.pop()
-            if kind == "b":
-                block_ids.append(x)
-                for v in self.tree_neighbors_of_block(x):
-                    node = ("c", v)
-                    if (x, v) == (b0, u):
-                        continue
-                    if node not in seen:
-                        seen.add(node)
-                        stack.append(node)
-            else:
-                for bid in self.blocks_of[x]:
-                    node = ("b", bid)
-                    if (x, bid) == (u, b0):
-                        continue
-                    if node not in seen:
-                        seen.add(node)
-                        stack.append(node)
-        verts = set()
-        for bid in block_ids:
-            verts |= self.blocks[bid]
-        verts.add(u)
-        result = frozenset(verts)
-        self._side_cache[key] = result
-        return result
+        return self._side(p)[1]
 
     def side_mask(self, p):
-        verts = self.side_vertices(p)
-        return sum(1 << v for v in verts)
+        return sum(1 << v for v in self._side(p)[1])
 
     def blocks_in_side(self, p):
         """Number of blocks of G[p] (used for the potential upper bound).
@@ -189,32 +163,7 @@ class BlockDecomposition:
         For (B,u) this counts blocks in the tree component on B's side; for
         (u,B) the blocks on u's side.  A base vertex alone contributes none.
         """
-        self.check_pair(p)
-        u, b0 = p.base, p.block
-        start = ("b", b0) if p.is_to_vertex else ("c", u)
-        seen = {start}
-        stack = [start]
-        count = 0
-        while stack:
-            kind, x = stack.pop()
-            if kind == "b":
-                count += 1
-                for v in self.tree_neighbors_of_block(x):
-                    if (x, v) == (b0, u):
-                        continue
-                    node = ("c", v)
-                    if node not in seen:
-                        seen.add(node)
-                        stack.append(node)
-            else:
-                for bid in self.blocks_of[x]:
-                    if (x, bid) == (u, b0):
-                        continue
-                    node = ("b", bid)
-                    if node not in seen:
-                        seen.add(node)
-                        stack.append(node)
-        return count
+        return self._side(p)[0]
 
 
 class PairIndex:
@@ -368,29 +317,11 @@ def decompose(g):
 
 
 def is_block_graph(g):
-    """True iff every block induces a complete subgraph."""
-    bd = decompose(g)
-    for b in bd.blocks:
-        members = sorted(b)
-        for i, u in enumerate(members):
-            mask = g.adjacency_mask[u]
-            for v in members[i + 1 :]:
-                if not (mask >> v & 1):
-                    return False
-    return True
+    """True iff every block induces a complete subgraph.
 
-
-def pairs(bd):
-    return bd.pairs()
-
-
-def side_vertices(bd, p):
-    return bd.side_vertices(p)
-
-
-def kappa(bd, bid, u):
-    return bd.kappa(bid, u)
-
-
-def beta(bd, u, bid):
-    return bd.beta(u, bid)
+    Every edge lies in exactly one block, and a block B holds at most
+    |B|(|B|-1)/2 edges, so the blocks' maxima add up to the edge count
+    exactly when every block is a clique.
+    """
+    blocks = decompose(g).blocks
+    return sum(len(b) * (len(b) - 1) // 2 for b in blocks) == len(g.edges)

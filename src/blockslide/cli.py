@@ -13,8 +13,8 @@ import sys
 from .blocks import decompose, is_block_graph
 from .decide import decide
 from .errors import BlockslideError, InternalError, NotABlockGraphError
-from .fuzz import FuzzEnvelope, gen_fuzz_instance, check_instance
-from .gen import GenParams, SplitMix64, gen_block_graph, gen_independent_set
+from .fuzz import FuzzEnvelope, run_fuzz
+from .gen import GenParams, SplitMix64, gen_block_graph, gen_token_sets
 from .graph import TokenSet, connected_components
 from .instance import Instance, parse_instance, render_instance
 from .invariants import compute_depths, compute_ua
@@ -93,15 +93,7 @@ def cmd_gen(args, out):
     rng = SplitMix64(args.seed ^ 0xD1B54A32D192ED03)
     seed_src = rng.next_u64()
     seed_tgt = rng.next_u64()
-    k = min(args.tokens, g.n)
-    while k > 0:
-        src = gen_independent_set(seed_src, g, k)
-        tgt = gen_independent_set(seed_tgt, g, k)
-        if src is not None and tgt is not None:
-            break
-        k -= 1
-    else:
-        src = tgt = TokenSet(g, [])
+    src, tgt = gen_token_sets(g, min(args.tokens, g.n), seed_src, seed_tgt)
     out.write(render_instance(Instance(g, src, tgt)))
     return EXIT_OK
 
@@ -113,20 +105,19 @@ def cmd_fuzz(args, out):
         max_tokens=args.max_tokens,
         max_vertices=args.max_vertices,
     )
-    for i in range(args.count):
-        seed = args.seed + i
-        inst = gen_fuzz_instance(seed, env)
-        failures = check_instance(inst)
-        if failures:
-            dump = f"fuzz-failure-seed{seed}.ts"
-            with open(dump, "w", encoding="ascii") as fh:
-                fh.write(f"# fuzz seed {seed}\n")
-                fh.write(render_instance(inst))
-            print(f"{i}/{args.count} ok, then seed {seed} failed:", file=out)
-            for f in failures:
-                print(f"  {f}", file=out)
-            print(f"instance dumped to {dump}", file=out)
-            return EXIT_FUZZ_FAILURE
+
+    def report(seed, inst, failures):
+        dump = f"fuzz-failure-seed{seed}.ts"
+        with open(dump, "w", encoding="ascii") as fh:
+            fh.write(f"# fuzz seed {seed}\n")
+            fh.write(render_instance(inst))
+        print(f"{seed - args.seed}/{args.count} ok, then seed {seed} failed:", file=out)
+        for f in failures:
+            print(f"  {f}", file=out)
+        print(f"instance dumped to {dump}", file=out)
+
+    if run_fuzz(args.count, env, args.seed, on_failure=report)[1] is not None:
+        return EXIT_FUZZ_FAILURE
     print(f"{args.count}/{args.count} ok", file=out)
     return EXIT_OK
 

@@ -2,9 +2,10 @@
 
 A cut vertex is rigid for a token set when two of its incident sides both
 have potential 0 and ua True; a rigid vertex can never receive a token.
-Two token sets on a connected block graph are inter-reachable exactly when
-their rigid sets coincide and, after removing the rigid vertices, every
-remaining component holds the same number of tokens from each set.
+Two token sets on a block graph, connected or not, are inter-reachable
+exactly when their rigid sets coincide and, after removing the rigid
+vertices, every remaining component holds the same number of tokens from
+each set.
 """
 
 from __future__ import annotations
@@ -55,53 +56,81 @@ def rigid_vertices(bd, ua, pot):
     return frozenset(rigid)
 
 
+def _token_counts(g, components, c1, c2):
+    """(component, tokens of c1 in it, tokens of c2 in it) per component,
+    and the index of every vertex's component, len(components) for the
+    vertices outside all of them."""
+    k = len(components)
+    label = [k] * g.n
+    for i, comp in enumerate(components):
+        for v in comp:
+            label[v] = i
+    n1 = [0] * (k + 1)
+    n2 = [0] * (k + 1)
+    for v in c1:
+        n1[label[v]] += 1
+    for v in c2:
+        n2[label[v]] += 1
+    return list(zip(components, n1, n2)), label  # zip drops index k
+
+
 def decide_connected(g, bd, c1, c2):
-    """Verdict for a connected block graph and two same-size token sets."""
+    """Verdict for two same-size token sets on a block graph g, connected
+    or not, with bd = decompose(g).
+
+    A component's verdict never depends on another component, so depth,
+    ua, potentials and rigid sets are each taken once over the whole
+    block-cut forest.  The verdict is UNEQUAL_SIZE with details
+    "per_component" when some component holds more tokens of one set.
+    Otherwise details["components"] lists (vertex set, Verdict) for each
+    component with tokens, in order of least vertex, up to the first that
+    is not reachable; each such Verdict has the component's rigid sets and,
+    when they agree, the token counts of each component left after
+    removing them.
+    """
     if len(c1) != len(c2):
         raise ValueError("decide_connected requires equal-size token sets")
+    components = connected_components(g)
+    counts, label = _token_counts(g, components, c1, c2)
+    if any(n1 != n2 for _, n1, n2 in counts):
+        return Verdict(False, Reason.UNEQUAL_SIZE, {"per_component": counts})
     depths = compute_depths(bd)
     ua = compute_ua(bd, depths)
-    pot1 = compute_potentials(bd, ua, c1)
-    pot2 = compute_potentials(bd, ua, c2)
-    w1 = rigid_vertices(bd, ua, pot1)
-    w2 = rigid_vertices(bd, ua, pot2)
-    details = {"rigid_source": w1, "rigid_target": w2}
-    if w1 != w2:
-        return Verdict(False, Reason.RIGID_MISMATCH, details)
-    remaining = sorted(set(range(g.n)) - w1)
-    sub, to_sub, _ = g.induced(remaining)
-    counts = []
-    for comp in connected_components(sub):
-        orig = frozenset(remaining[v] for v in comp)
-        n1 = sum(1 for v in orig if v in c1)
-        n2 = sum(1 for v in orig if v in c2)
-        counts.append((orig, n1, n2))
-    details["component_counts"] = counts
-    if any(n1 != n2 for _, n1, n2 in counts):
-        return Verdict(False, Reason.COMPONENT_COUNT_MISMATCH, details)
+    w1 = rigid_vertices(bd, ua, compute_potentials(bd, ua, c1))
+    w2 = rigid_vertices(bd, ua, compute_potentials(bd, ua, c2))
+    # The components left after removing w1 & w2, grouped by the component
+    # of g holding them; where w1 and w2 differ no count is read.
+    remaining = [[] for _ in components]
+    after, _ = _token_counts(g, connected_components(g, without=w1 & w2), c1, c2)
+    for part in after:
+        remaining[label[min(part[0])]].append(part)
+
+    details = {"components": []}
+    for (comp, n1, _), parts in zip(counts, remaining):
+        if n1 == 0:
+            continue
+        sub = {"rigid_source": w1 & comp, "rigid_target": w2 & comp}
+        if sub["rigid_source"] != sub["rigid_target"]:
+            reason = Reason.RIGID_MISMATCH
+        else:
+            sub["component_counts"] = parts
+            if any(a != b for _, a, b in parts):
+                reason = Reason.COMPONENT_COUNT_MISMATCH
+            else:
+                reason = Reason.REACHABLE
+        verdict = Verdict(reason is Reason.REACHABLE, reason, sub)
+        details["components"].append((comp, verdict))
+        if not verdict.reachable:
+            return Verdict(False, reason, details)
     return Verdict(True, Reason.REACHABLE, details)
-
-
-def _in_original_ids(verdict, to_orig):
-    """The same verdict with its vertex sets renamed by to_orig."""
-    details = {
-        key: frozenset(to_orig[v] for v in verdict.details[key])
-        for key in ("rigid_source", "rigid_target")
-    }
-    if "component_counts" in verdict.details:
-        details["component_counts"] = [
-            (frozenset(to_orig[v] for v in comp), n1, n2)
-            for comp, n1, n2 in verdict.details["component_counts"]
-        ]
-    return Verdict(verdict.reachable, verdict.reason, details)
 
 
 def decide(g, c1, c2):
     """Top-level yes/no decision on an arbitrary block graph.
 
-    Validates the block-graph property and independence, handles
-    disconnected inputs component by component, and short-circuits on any
-    global or per-component token-count mismatch.
+    Validates the block-graph property and independence, short-circuits on
+    unequal token counts, and decides every component in one pass over the
+    block-cut forest of g (see decide_connected).
     """
     if not is_block_graph(g):
         raise NotABlockGraphError("input graph has a non-clique block")
@@ -116,28 +145,4 @@ def decide(g, c1, c2):
 
     if len(c1) != len(c2):
         return Verdict(False, Reason.UNEQUAL_SIZE, {"sizes": (len(c1), len(c2))})
-
-    per_component = []
-    for comp in connected_components(g):
-        n1 = sum(1 for v in comp if v in c1)
-        n2 = sum(1 for v in comp if v in c2)
-        per_component.append((comp, n1, n2))
-    if any(n1 != n2 for _, n1, n2 in per_component):
-        return Verdict(
-            False, Reason.UNEQUAL_SIZE, {"per_component": per_component}
-        )
-
-    details = {"components": []}
-    for comp, n1, n2 in per_component:
-        if n1 == 0:
-            continue
-        sub, to_sub, to_orig = g.induced(sorted(comp))
-        s1 = TokenSet(sub, [to_sub[v] for v in c1 if v in comp])
-        s2 = TokenSet(sub, [to_sub[v] for v in c2 if v in comp])
-        verdict = _in_original_ids(
-            decide_connected(sub, decompose(sub), s1, s2), to_orig
-        )
-        details["components"].append((frozenset(comp), verdict))
-        if not verdict.reachable:
-            return Verdict(False, verdict.reason, details)
-    return Verdict(True, Reason.REACHABLE, details)
+    return decide_connected(g, decompose(g), c1, c2)

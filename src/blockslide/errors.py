@@ -33,10 +33,6 @@ class NotABlockGraphError(BlockslideError):
     pass
 
 
-class NotConnectedError(BlockslideError):
-    pass
-
-
 class InvalidPairError(BlockslideError):
     pass
 

@@ -11,8 +11,7 @@ from dataclasses import dataclass
 
 from .blocks import TO_BLOCK, TO_VERTEX, Pair, decompose
 from .decide import decide, rigid_vertices
-from .gen import GenParams, SplitMix64, gen_block_graph, gen_independent_set
-from .graph import TokenSet
+from .gen import GenParams, SplitMix64, gen_block_graph, gen_token_sets
 from .instance import Instance
 from .invariants import compute_depths, compute_ua
 from .oracle import (
@@ -44,14 +43,7 @@ def gen_fuzz_instance(seed, env=FuzzEnvelope()):
     k = rng.randint(0, env.max_tokens)
     seed_src = rng.next_u64()
     seed_tgt = rng.next_u64()
-    while k > 0:
-        src = gen_independent_set(seed_src, g, k)
-        tgt = gen_independent_set(seed_tgt, g, k)
-        if src is not None and tgt is not None:
-            return Instance(g, src, tgt)
-        k -= 1
-    empty = TokenSet(g, [])
-    return Instance(g, empty, empty)
+    return Instance(g, *gen_token_sets(g, k, seed_src, seed_tgt))
 
 
 def _interior_count(bd, mask, p):

@@ -111,3 +111,16 @@ def gen_independent_set(seed, g, size, restarts=16):
             if len(chosen) == size:
                 return TokenSet(g, chosen)
     return None
+
+
+def gen_token_sets(g, k, seed_src, seed_tgt):
+    """Source and target sets of the largest size at most k for which
+    gen_independent_set packs both, or two empty sets."""
+    while k > 0:
+        src = gen_independent_set(seed_src, g, k)
+        tgt = gen_independent_set(seed_tgt, g, k)
+        if src is not None and tgt is not None:
+            return src, tgt
+        k -= 1
+    empty = TokenSet(g, [])
+    return empty, empty

@@ -94,10 +94,6 @@ class Graph:
         return f"Graph(n={self.n}, m={len(self.edges)})"
 
 
-def new_graph(n, edge_list):
-    return Graph(n, edge_list)
-
-
 class TokenSet:
     """An independent set of a host graph, i.e. a legal token placement.
 
@@ -176,10 +172,13 @@ def is_under_attack(g, c, v):
     return bool(g.adjacency_mask[v] & c.mask)
 
 
-def connected_components(g):
-    """Partition of V(g) into maximal connected vertex sets, ordered by
-    minimum vertex id."""
+def connected_components(g, without=()):
+    """Partition of the vertices of g not in `without` into the maximal
+    connected vertex sets of g minus `without`, ordered by minimum vertex
+    id."""
     seen = [False] * g.n
+    for v in without:
+        seen[v] = True
     components = []
     for start in range(g.n):
         if seen[start]:

@@ -30,8 +30,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .blocks import Pair, PairTable
-from .errors import InternalError, NotConnectedError
-from .graph import TokenSet, connected_components
+from .errors import InternalError
+from .graph import TokenSet
 
 
 @dataclass(frozen=True)
@@ -116,11 +116,8 @@ class PotentialTable(PairTable):
 
 def compute_potentials(bd, ua, c):
     """Fixed-point potentials for every pair, plus the number of increases
-    plus one.  Requires a connected host graph."""
-    g = bd.graph
-    if g.n > 0 and len(connected_components(g)) != 1:
-        raise NotConnectedError("compute_potentials requires a connected graph")
-
+    plus one.  The host graph may be disconnected: no equation reaches
+    across components."""
     ix = bd.index()
     node, into = ix.node, ix.into
     ua = ua.array

@@ -10,6 +10,7 @@ import pytest
 
 from blockslide import (
     Graph,
+    Instance,
     TokenSet,
     TO_BLOCK,
     TO_VERTEX,
@@ -61,6 +62,29 @@ def chain_k2():
 
 def fuzz_corpus(count, seed=0, env=FuzzEnvelope()):
     return [gen_fuzz_instance(seed + i, env) for i in range(count)]
+
+
+def disjoint_union(instances):
+    """One instance holding the given ones side by side, each one's vertex
+    ids shifted past those of the instances before it."""
+    edges, source, target, offset = [], [], [], 0
+    for inst in instances:
+        edges += [(u + offset, v + offset) for u, v in inst.graph.edges]
+        source += [v + offset for v in inst.source]
+        target += [v + offset for v in inst.target]
+        offset += inst.graph.n
+    g = Graph(offset, edges)
+    return Instance(g, TokenSet(g, source), TokenSet(g, target))
+
+
+def union_corpus(count, seed=0):
+    """Unions of two small fuzz instances, which the oracle still searches
+    quickly."""
+    env = FuzzEnvelope(max_vertices=6, max_tokens=2)
+    return [
+        disjoint_union([gen_fuzz_instance(seed + 2 * i + j, env) for j in (0, 1)])
+        for i in range(count)
+    ]
 
 
 # --- definitional recomputations ------------------------------------------

@@ -8,7 +8,7 @@ values; its iteration_count is counted differently (see test_potential).
 
 from dataclasses import dataclass
 
-from blockslide import TO_BLOCK, TO_VERTEX, NotConnectedError, Pair, connected_components
+from blockslide import TO_BLOCK, TO_VERTEX, Pair
 
 
 def _tokens_in_block_interior(bd, mask, bid, base):
@@ -27,11 +27,7 @@ class ReferencePotentials:
 
 def restart_sweep_potentials(bd, ua, c):
     """Fixed-point potentials for every pair, plus the number of sweep
-    passes executed.  Requires a connected host graph."""
-    g = bd.graph
-    if g.n > 0 and len(connected_components(g)) != 1:
-        raise NotConnectedError("compute_potentials requires a connected graph")
-
+    passes executed."""
     pair_list = bd.pairs()
     index = {p: i for i, p in enumerate(pair_list)}
     npairs = len(pair_list)

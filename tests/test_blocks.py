@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from blockslide import (
@@ -76,6 +78,23 @@ def test_is_block_graph():
     assert is_block_graph(Graph(3, [(0, 1), (1, 2), (0, 2)]))
     assert not is_block_graph(Graph(4, [(0, 1), (1, 2), (2, 3), (3, 0)]))  # C4
     assert is_block_graph(Graph(1, []))
+
+
+def test_is_block_graph_matches_clique_check():
+    """The edge count agrees with checking every pair of every block."""
+    rng = random.Random(20)
+    non_block = 0
+    for _ in range(2_000):
+        n = rng.randint(1, 9)
+        density = rng.random()
+        g = Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n)
+                      if rng.random() < density])
+        cliques = all(
+            g.has_edge(u, v) for b in decompose(g).blocks for u in b for v in b if u < v
+        )
+        assert is_block_graph(g) == cliques
+        non_block += not cliques
+    assert 500 < non_block < 1_500
 
 
 def test_diamond_is_single_non_clique_block():

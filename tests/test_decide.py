@@ -16,7 +16,7 @@ from blockslide import (
     oracle_reachable,
     rigid_vertices,
 )
-from conftest import fuzz_corpus
+from conftest import fuzz_corpus, union_corpus
 
 
 def test_path3_slide_across(path3):
@@ -85,6 +85,9 @@ def test_disconnected_per_component_counts():
     v = decide(g, TokenSet(g, [0]), TokenSet(g, [3]))
     assert not v.reachable
     assert v.reason is Reason.UNEQUAL_SIZE
+    assert v.details["per_component"] == [
+        (frozenset({0, 1, 2}), 1, 0), (frozenset({3, 4, 5}), 0, 1)
+    ]
     # matching per-component counts: both components slide internally
     v = decide(g, TokenSet(g, [0, 3]), TokenSet(g, [2, 5]))
     assert v.reachable
@@ -114,6 +117,31 @@ def test_component_details_use_original_ids():
     assert star_verdict.details["component_counts"] == [
         (frozenset({5}), 1, 1), (frozenset({6}), 1, 1), (frozenset({7}), 0, 0)
     ]
+
+
+def test_decide_copies_no_subgraph(monkeypatch):
+    """Every component is decided on the decomposition of the whole graph."""
+    def induced(self, vertices):
+        raise AssertionError("decide copied a subgraph")
+
+    monkeypatch.setattr(Graph, "induced", induced)
+    # two P3s and a star centred at 6, whose centre two leaf tokens pin
+    g = Graph(10, [(0, 1), (1, 2), (3, 4), (4, 5), (6, 7), (6, 8), (6, 9)])
+    assert decide(g, [0, 3, 7, 8], [2, 5, 7, 8]).reachable
+    v = decide(g, [0, 3, 7, 8], [2, 5, 7, 9])
+    assert v.reason is Reason.COMPONENT_COUNT_MISMATCH
+    assert v.details["components"][-1][1].details["rigid_source"] == {6}
+
+
+UNIONS = union_corpus(120)
+
+
+@pytest.mark.parametrize("start", range(0, 120, 20))
+def test_union_decision_matches_oracle(start):
+    for inst in UNIONS[start:start + 20]:
+        v = decide(inst.graph, inst.source, inst.target)
+        ans = oracle_reachable(inst.graph, inst.source, inst.target)
+        assert v.reachable == (ans == YES)
 
 
 CORPUS = fuzz_corpus(150, seed=51)

@@ -14,7 +14,6 @@ from blockslide import (
     connected_components,
     is_independent,
     is_under_attack,
-    new_graph,
 )
 
 
@@ -49,7 +48,7 @@ def test_rejects_out_of_range():
 
 
 def test_empty_graph():
-    g = new_graph(0, [])
+    g = Graph(0, [])
     assert g.n == 0
     assert connected_components(g) == []
 
@@ -96,6 +95,16 @@ def test_connected_components_ordering():
     g = Graph(5, [(3, 4), (0, 1)])
     comps = connected_components(g)
     assert comps == [frozenset({0, 1}), frozenset({2}), frozenset({3, 4})]
+
+
+def test_connected_components_without_vertices():
+    g = Graph(6, [(0, 1), (1, 2), (2, 3), (4, 5)])
+    assert connected_components(g, without={1}) == [
+        frozenset({0}), frozenset({2, 3}), frozenset({4, 5})
+    ]
+    assert connected_components(g, without=frozenset({0, 1, 2, 3})) == [
+        frozenset({4, 5})
+    ]
 
 
 @given(st.integers(0, 8), st.data())

@@ -3,14 +3,24 @@
 On each large graph, a target reached from the source by a random walk of
 legal slides must decide YES; for an arbitrary second token set of the same
 size, swapping source and target and relabelling the vertices must both
-keep the verdict.
+keep the verdict.  A disjoint union of such graphs is decided component
+by component.
 """
 
 import random
 
 import pytest
 
-from blockslide import GenParams, Graph, TokenSet, decide, gen_block_graph, gen_independent_set
+from blockslide import (
+    GenParams,
+    Graph,
+    Instance,
+    TokenSet,
+    decide,
+    gen_block_graph,
+    gen_independent_set,
+)
+from conftest import disjoint_union
 
 
 def path(n):
@@ -86,3 +96,38 @@ def test_swap_and_relabel_keep_verdict(case):
     h = Graph(g.n, [(perm[u], perm[v]) for u, v in g.edges])
     relabelled = decide(h, [perm[v] for v in source], [perm[v] for v in target])
     assert relabelled.reachable == verdict
+
+
+def test_disjoint_union_is_decided_per_component():
+    parts = [path(2_000), star(500), k4_chain(300)]
+    rng = random.Random("union")
+    # tokens per part: the star's two leaf tokens usually pin its centre
+    for seed, sizes in enumerate([(400, 1, 100), (300, 2, 80), (500, 2, 120)]):
+        insts = [
+            Instance(g, *(gen_independent_set(2 * seed + j, g, k) for j in (0, 1)))
+            for g, k in zip(parts, sizes)
+        ]
+        union = disjoint_union(insts)
+        assert union.graph.n >= 3_000
+        walked = random_walk(union.graph, union.source, 2_000, rng)
+        assert decide(union.graph, union.source, walked).reachable
+
+        verdict = decide(union.graph, union.source, union.target)
+        alone = [decide(i.graph, i.source, i.target) for i in insts]
+        reachable = [v.reachable for v in alone]
+        assert verdict.reachable == all(reachable)
+        # the union lists the parts' verdicts up to the first NO, in the
+        # union's vertex ids
+        listed = verdict.details["components"]
+        stop = reachable.index(False) + 1 if False in reachable else len(alone)
+        assert len(listed) == stop
+        offset = 0
+        for (comp, v), g, part in zip(listed, parts, alone):
+            (_, expected), = part.details["components"]
+            assert comp == frozenset(range(offset, offset + g.n))
+            assert v.reason is expected.reason
+            assert v.details["rigid_source"] == {
+                u + offset for u in expected.details["rigid_source"]
+            }
+            offset += g.n
+        assert verdict.reason is listed[-1][1].reason

@@ -2,7 +2,6 @@ import pytest
 
 from blockslide import (
     Graph,
-    NotConnectedError,
     Pair,
     TO_BLOCK,
     TO_VERTEX,
@@ -14,9 +13,10 @@ from blockslide import (
     compute_ua,
     decompose,
     oracle_potential,
+    oracle_potential_table,
     restrict,
 )
-from conftest import fuzz_corpus, slow_capacity
+from conftest import fuzz_corpus, slow_capacity, union_corpus
 from reference_potential import restart_sweep_potentials
 
 
@@ -74,13 +74,6 @@ def test_empty_token_set_capacity_equals_potential(k4_pendant):
         assert pot[p] == capacity(bd, ua, c, p)
 
 
-def test_requires_connected_graph():
-    g = Graph(4, [(0, 1), (2, 3)])
-    bd, ua = setup(g)
-    with pytest.raises(NotConnectedError):
-        compute_potentials(bd, ua, TokenSet(g, [0]))
-
-
 CORPUS = fuzz_corpus(80, seed=37)
 
 
@@ -124,6 +117,18 @@ def test_potentials_match_brute_force(idx):
         pot = compute_potentials(bd, ua, c)
         for p in bd.pairs():
             assert pot[p] == oracle_potential(g, bd, ua, c, p)
+
+
+@pytest.mark.parametrize("start", range(0, 120, 40))
+def test_potentials_on_unions_match_oracle(start):
+    """A disconnected graph needs no split: no equation crosses components."""
+    for inst in union_corpus(20, seed=start):
+        g = inst.graph
+        bd, ua = setup(g)
+        for c in (inst.source, inst.target):
+            assert compute_potentials(bd, ua, c).values == (
+                oracle_potential_table(g, bd, ua, c)
+            )
 
 
 @pytest.mark.parametrize("start", range(0, 3000, 500))

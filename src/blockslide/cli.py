@@ -15,7 +15,7 @@ from .decide import decide
 from .errors import BlockslideError, InternalError, NotABlockGraphError
 from .fuzz import FuzzEnvelope, run_fuzz
 from .gen import GenParams, SplitMix64, gen_block_graph, gen_token_sets
-from .graph import TokenSet, connected_components
+from .graph import component_labels, connected_components
 from .instance import Instance, parse_instance, render_instance
 from .invariants import compute_depths, compute_ua
 from .oracle import NO, UNKNOWN, YES, OracleLimits, oracle_reachable
@@ -41,42 +41,43 @@ def cmd_decide(args, out):
     return EXIT_OK
 
 
-def _print_component_potentials(g, tokens, out, labels=None):
-    """One line per pair in canonical order for a connected (sub)graph."""
-    if labels is None:
-        labels = {v: v + 1 for v in range(g.n)}
-    bd = decompose(g)
-    depths = compute_depths(bd)
-    ua = compute_ua(bd, depths)
-    pot = compute_potentials(bd, ua, tokens)
-    rows = zip(bd.pairs(), pot.array, ua.array, depths.array)
-    for p, x, a, d in rows:
-        u = labels[p.base]
-        if p.is_to_vertex:
-            arrow = f"B{p.block}->{u}"
-        else:
-            arrow = f"{u}->B{p.block}"
-        print(f"pot {arrow} = {x} ua={int(a)} d={d}", file=out)
-
-
 def cmd_potentials(args, out):
+    """One line per pair in canonical order, each component's under
+    "# component i" when there are several.
+
+    One decomposition serves every component, since no equation reaches
+    across components.  A component's lines keep the global pair order, and
+    its block ids are the ranks of its blocks' global ids: relabelling a
+    component's vertices in order keeps the canonical order of its blocks.
+    """
     instance = _load_instance(args.file)
     g = instance.graph
     if not is_block_graph(g):
         raise NotABlockGraphError("input graph has a non-clique block")
     tokens = instance.source if args.set == "source" else instance.target
+    bd = decompose(g)
+    depths = compute_depths(bd)
+    ua = compute_ua(bd, depths)
+    pot = compute_potentials(bd, ua, tokens)
+
     components = connected_components(g)
-    if len(components) <= 1:
-        _print_component_potentials(g, tokens, out)
-        return EXIT_OK
-    for idx, comp in enumerate(components):
-        members = sorted(comp)
-        sub, to_sub, to_orig = g.induced(members)
-        sub_tokens = TokenSet(sub, [to_sub[v] for v in tokens if v in comp])
-        print(f"# component {idx}", file=out)
-        _print_component_potentials(
-            sub, sub_tokens, out, labels={i: v + 1 for i, v in enumerate(to_orig)}
-        )
+    label = component_labels(g, components)
+    local = []  # block id within its component
+    seen = [0] * len(components)
+    for members in bd.blocks:
+        i = label[next(iter(members))]
+        local.append(seen[i])
+        seen[i] += 1
+    lines = [[] for _ in components]
+    for p, x, a, d in zip(bd.pairs(), pot.array, ua.array, depths.array):
+        b, u = local[p.block], p.base + 1
+        arrow = f"B{b}->{u}" if p.is_to_vertex else f"{u}->B{b}"
+        lines[label[p.base]].append(f"pot {arrow} = {x} ua={int(a)} d={d}")
+    for idx, rows in enumerate(lines):
+        if len(components) > 1:
+            print(f"# component {idx}", file=out)
+        for row in rows:
+            print(row, file=out)
     return EXIT_OK
 
 

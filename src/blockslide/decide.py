@@ -15,7 +15,12 @@ from enum import Enum
 
 from .blocks import decompose, is_block_graph
 from .errors import InternalError, NotABlockGraphError, NotIndependentError
-from .graph import TokenSet, connected_components, is_independent
+from .graph import (
+    TokenSet,
+    component_labels,
+    connected_components,
+    is_independent,
+)
 from .invariants import compute_depths, compute_ua
 from .potential import compute_potentials
 
@@ -61,10 +66,7 @@ def _token_counts(g, components, c1, c2):
     and the index of every vertex's component, len(components) for the
     vertices outside all of them."""
     k = len(components)
-    label = [k] * g.n
-    for i, comp in enumerate(components):
-        for v in comp:
-            label[v] = i
+    label = component_labels(g, components)
     n1 = [0] * (k + 1)
     n2 = [0] * (k + 1)
     for v in c1:

@@ -16,7 +16,9 @@ from .instance import Instance
 from .invariants import compute_depths, compute_ua
 from .oracle import (
     OracleLimits,
+    adjacency_masks,
     enumerate_reachable,
+    mask_of,
     never_token_vertices,
     oracle_potential_table,
 )
@@ -46,10 +48,6 @@ def gen_fuzz_instance(seed, env=FuzzEnvelope()):
     return Instance(g, *gen_token_sets(g, k, seed_src, seed_tgt))
 
 
-def _interior_count(bd, mask, p):
-    return (mask & bd.side_mask(p) & ~(1 << p.base)).bit_count()
-
-
 @dataclass
 class InstanceReport:
     violations: list  # (category, message) pairs
@@ -75,6 +73,12 @@ def evaluate_instance(inst, lim=OracleLimits()):
     m = len(bd.blocks)
     ncut = len(bd.cut_vertices)
     iter_bound = 2 * m * (ncut + m - 1) + 1
+    adjacency = adjacency_masks(g)
+    # per pair, the mask of its side's interior: G[p] without the base
+    interior = {p: mask_of(bd.side_vertices(p)) & ~(1 << p.base) for p in pair_list}
+
+    def interior_count(mask, p):
+        return (mask & interior[p]).bit_count()
 
     pots = {}
     for name, c in (("source", c1), ("target", c2)):
@@ -85,13 +89,14 @@ def evaluate_instance(inst, lim=OracleLimits()):
                 ("iteration",
                  f"{name}: iteration_count {pot.iteration_count} > bound {iter_bound}")
             )
-        caps = capacity_table(bd, ua, c.mask)
+        caps = capacity_table(bd, ua, c)
+        c_mask = mask_of(c)
         for p in pair_list:
             cap = caps[p]
             if cap < 0:
                 failures.append(("capacity", f"{name}: negative capacity at {p}"))
-            side_tokens = c.mask & bd.side_mask(p) & ~(1 << p.base)
-            base_attacked = bool(g.adjacency_mask[p.base] & side_tokens)
+            side_tokens = c_mask & interior[p]
+            base_attacked = bool(adjacency[p.base] & side_tokens)
             if ua[p] and not base_attacked and cap <= 0:
                 failures.append(("capacity", f"{name}: ua and unattacked base but cap=0 at {p}"))
             x = pot[p]
@@ -99,7 +104,7 @@ def evaluate_instance(inst, lim=OracleLimits()):
                 failures.append(("fixedpoint", f"{name}: potential {x} exceeds block count at {p}"))
             if p.is_to_vertex:
                 bid, u = p.block, p.base
-                in_block = (c.mask & bd.block_masks[bid] & ~(1 << u)).bit_count()
+                in_block = (c_mask & mask_of(bd.blocks[bid]) & ~(1 << u)).bit_count()
                 rhs = (
                     sum(pot[Pair(TO_BLOCK, v, bid)] for v in bd.kappa(bid, u))
                     + int(ua[p])
@@ -111,10 +116,10 @@ def evaluate_instance(inst, lim=OracleLimits()):
                     failures.append(("fixedpoint", f"{name}: fixed-point equation fails at {p}"))
                 # interiors of the sub-sides partition the interior off-block
                 lhs = sum(
-                    _interior_count(bd, c.mask, Pair(TO_BLOCK, v, bid))
+                    interior_count(c_mask, Pair(TO_BLOCK, v, bid))
                     for v in bd.kappa(bid, u)
                 )
-                if lhs != _interior_count(bd, c.mask, p) - in_block:
+                if lhs != interior_count(c_mask, p) - in_block:
                     failures.append(("fixedpoint", f"{name}: interior sum identity fails at {p}"))
             else:
                 u, bid = p.base, p.block
@@ -139,10 +144,10 @@ def evaluate_instance(inst, lim=OracleLimits()):
                     if x != rhs:
                         failures.append(("fixedpoint", f"{name}: fixed-point equation fails at {p}"))
                 lhs = sum(
-                    _interior_count(bd, c.mask, Pair(TO_VERTEX, u, b))
+                    interior_count(c_mask, Pair(TO_VERTEX, u, b))
                     for b in bd.beta(u, bid)
                 )
-                if lhs != _interior_count(bd, c.mask, p):
+                if lhs != interior_count(c_mask, p):
                     failures.append(("fixedpoint", f"{name}: interior sum identity fails at {p}"))
 
     space1 = enumerate_reachable(g, c1, lim)
@@ -151,7 +156,7 @@ def evaluate_instance(inst, lim=OracleLimits()):
         failures.append(("truncated", "oracle truncated; envelope too large"))
         return InstanceReport(failures)
 
-    oracle_yes = c2.mask in space1.visited
+    oracle_yes = mask_of(c2) in space1.visited
     verdict = decide(g, c1, c2)
     if verdict.reachable != oracle_yes:
         failures.append(

@@ -101,13 +101,15 @@ def gen_independent_set(seed, g, size, restarts=16):
     for _ in range(restarts):
         order = list(range(g.n))
         rng.shuffle(order)
-        chosen_mask = 0
+        blocked = bytearray(g.n)  # chosen vertices and their neighbours
         chosen = []
         for v in order:
-            if g.adjacency_mask[v] & chosen_mask or chosen_mask >> v & 1:
+            if blocked[v]:
                 continue
             chosen.append(v)
-            chosen_mask |= 1 << v
+            blocked[v] = 1
+            for w in g.adjacency[v]:
+                blocked[w] = 1
             if len(chosen) == size:
                 return TokenSet(g, chosen)
     return None

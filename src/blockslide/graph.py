@@ -18,7 +18,7 @@ from .errors import (
 class Graph:
     """Immutable simple undirected graph with array-indexed adjacency."""
 
-    __slots__ = ("n", "edges", "adjacency", "adjacency_mask")
+    __slots__ = ("n", "edges", "adjacency")
 
     def __init__(self, n, edge_list):
         if n < 0:
@@ -26,7 +26,6 @@ class Graph:
         self.n = n
         seen = set()
         adjacency = [[] for _ in range(n)]
-        adjacency_mask = [0] * n
         for u, v in edge_list:
             if not (0 <= u < n):
                 raise VertexOutOfRangeError(u, n)
@@ -40,11 +39,8 @@ class Graph:
             seen.add(e)
             adjacency[u].append(v)
             adjacency[v].append(u)
-            adjacency_mask[u] |= 1 << v
-            adjacency_mask[v] |= 1 << u
         self.edges = frozenset(seen)
         self.adjacency = tuple(tuple(sorted(nbrs)) for nbrs in adjacency)
-        self.adjacency_mask = tuple(adjacency_mask)
 
     def neighbors(self, u):
         self._check_vertex(u)
@@ -97,41 +93,26 @@ class Graph:
 class TokenSet:
     """An independent set of a host graph, i.e. a legal token placement.
 
-    Stores a sorted vertex tuple plus a bitmask for O(1) membership; both
-    views are kept because the bitmask is the hot path in the capacity
-    recursion and the state-space oracle.
+    Stores the sorted vertex tuple, which also serves iteration, equality
+    and hashing, plus a frozenset of the same vertices for O(1) membership.
+    Both are linear in the number of tokens, whatever the size of the graph.
     """
 
-    __slots__ = ("vertices", "mask")
+    __slots__ = ("vertices", "_members")
 
     def __init__(self, graph, vertices, which="set"):
         vs = sorted(set(vertices))
-        mask = 0
         for v in vs:
             graph._check_vertex(v)
-            mask |= 1 << v
+        members = frozenset(vs)
         for v in vs:
-            if graph.adjacency_mask[v] & mask:
+            if not members.isdisjoint(graph.adjacency[v]):
                 raise NotIndependentError(which)
         self.vertices = tuple(vs)
-        self.mask = mask
-
-    @classmethod
-    def _from_mask(cls, mask):
-        """Unchecked constructor for internal use on already-validated masks."""
-        ts = object.__new__(cls)
-        ts.mask = mask
-        vs = []
-        m = mask
-        while m:
-            low = m & -m
-            vs.append(low.bit_length() - 1)
-            m ^= low
-        ts.vertices = tuple(vs)
-        return ts
+        self._members = members
 
     def __contains__(self, v):
-        return bool(self.mask >> v & 1)
+        return v in self._members
 
     def __len__(self):
         return len(self.vertices)
@@ -140,10 +121,10 @@ class TokenSet:
         return iter(self.vertices)
 
     def __eq__(self, other):
-        return isinstance(other, TokenSet) and self.mask == other.mask
+        return isinstance(other, TokenSet) and self.vertices == other.vertices
 
     def __hash__(self):
-        return hash(self.mask)
+        return hash(self.vertices)
 
     def __repr__(self):
         return f"TokenSet({list(self.vertices)})"
@@ -151,25 +132,18 @@ class TokenSet:
 
 def is_independent(g, s):
     """True iff no edge of g joins two vertices of s."""
-    mask = 0
+    members = set()
     for v in s:
         g._check_vertex(v)
-        mask |= 1 << v
-    m = mask
-    while m:
-        low = m & -m
-        v = low.bit_length() - 1
-        if g.adjacency_mask[v] & mask:
-            return False
-        m ^= low
-    return True
+        members.add(v)
+    return all(members.isdisjoint(g.adjacency[v]) for v in members)
 
 
 def is_under_attack(g, c, v):
     """True iff some neighbour of v carries a token.  A vertex carrying a
     token itself is never under attack (its neighbourhood is token-free)."""
     g._check_vertex(v)
-    return bool(g.adjacency_mask[v] & c.mask)
+    return not c._members.isdisjoint(g.adjacency[v])
 
 
 def connected_components(g, without=()):
@@ -195,3 +169,13 @@ def connected_components(g, without=()):
                     stack.append(v)
         components.append(frozenset(comp))
     return components
+
+
+def component_labels(g, components):
+    """Per vertex of g, the index of its part in `components`, or
+    len(components) for a vertex in none of them."""
+    label = [len(components)] * g.n
+    for i, comp in enumerate(components):
+        for v in comp:
+            label[v] = i
+    return label

@@ -2,7 +2,11 @@
 definitional potential evaluation, and never-token analysis.
 
 Works on arbitrary simple graphs so the block-graph validator can be tested
-negatively.  States are canonically encoded as bitmasks.
+negatively.  States are canonically encoded as bitmasks, bit v for vertex
+v.  The oracle never goes beyond about a dozen vertices, so this module is
+the only one that builds big-int masks; mask_of, vertices_of, token_set_of
+and adjacency_masks convert to and from the graph layer for the harnesses
+that compare the two.
 """
 
 from __future__ import annotations
@@ -40,8 +44,37 @@ class StateSpace:
     truncated: bool = False
 
 
-def _successor_masks(g, mask):
-    """Masks reachable in one slide, in deterministic (u asc, v asc) order."""
+def mask_of(vertices):
+    """Bitmask with bit v set for every vertex v of the iterable."""
+    mask = 0
+    for v in vertices:
+        mask |= 1 << v
+    return mask
+
+
+def vertices_of(mask):
+    """The set bits of a mask, ascending."""
+    vs = []
+    while mask:
+        low = mask & -mask
+        vs.append(low.bit_length() - 1)
+        mask ^= low
+    return tuple(vs)
+
+
+def token_set_of(g, mask):
+    """The TokenSet of g whose vertices are the set bits of mask."""
+    return TokenSet(g, vertices_of(mask))
+
+
+def adjacency_masks(g):
+    """Per vertex of g, the mask of its neighbours."""
+    return [mask_of(nbrs) for nbrs in g.adjacency]
+
+
+def _successor_masks(g, adjacency, mask):
+    """Masks reachable in one slide, in deterministic (u asc, v asc) order;
+    adjacency holds adjacency_masks(g)."""
     out = []
     m = mask
     while m:
@@ -52,7 +85,7 @@ def _successor_masks(g, mask):
         for v in g.adjacency[u]:
             if mask >> v & 1:
                 continue
-            if g.adjacency_mask[v] & rest:
+            if adjacency[v] & rest:
                 continue
             out.append(rest | 1 << v)
     return out
@@ -60,7 +93,10 @@ def _successor_masks(g, mask):
 
 def successors(g, c):
     """All token sets obtained by one legal slide from c."""
-    return [TokenSet._from_mask(m) for m in _successor_masks(g, c.mask)]
+    return [
+        token_set_of(g, m)
+        for m in _successor_masks(g, adjacency_masks(g), mask_of(c))
+    ]
 
 
 def enumerate_reachable(g, c, lim=OracleLimits(), stop_at=None):
@@ -71,17 +107,19 @@ def enumerate_reachable(g, c, lim=OracleLimits(), stop_at=None):
     """
     deadline = time.monotonic() + lim.max_millis / 1000.0
     space = StateSpace(graph=g, start=c)
-    space.visited.add(c.mask)
-    frontier = [c.mask]
-    if stop_at is not None and c.mask == stop_at:
+    start = mask_of(c)
+    space.visited.add(start)
+    frontier = [start]
+    if stop_at is not None and start == stop_at:
         return space
+    adjacency = adjacency_masks(g)
     while frontier:
         next_frontier = []
         for mask in frontier:
             if time.monotonic() > deadline:
                 space.truncated = True
                 return space
-            for succ in _successor_masks(g, mask):
+            for succ in _successor_masks(g, adjacency, mask):
                 if succ in space.visited:
                     continue
                 if len(space.visited) >= lim.max_states:
@@ -99,8 +137,9 @@ def oracle_reachable(g, c1, c2, lim=OracleLimits()):
     """yes / no / unknown for token-sliding reachability of c2 from c1."""
     if len(c1) != len(c2):
         return NO
-    space = enumerate_reachable(g, c1, lim, stop_at=c2.mask)
-    if c2.mask in space.visited:
+    target = mask_of(c2)
+    space = enumerate_reachable(g, c1, lim, stop_at=target)
+    if target in space.visited:
         return YES
     if space.truncated:
         return UNKNOWN
@@ -114,14 +153,12 @@ def oracle_potential(g, bd, ua, c, p, lim=OracleLimits()):
     space = enumerate_reachable(g, c, lim)
     if space.truncated:
         return None
-    side = bd.side_mask(p)
-    base_bit = 1 << p.base
-    start_interior = (c.mask & side & ~base_bit).bit_count()
+    interior = mask_of(bd.side_vertices(p)) & ~(1 << p.base)
+    start_interior = (mask_of(c) & interior).bit_count()
     best = None
     for mask in space.visited:
-        cap = capacity_table(bd, ua, mask)[p]
-        interior = (mask & side & ~base_bit).bit_count()
-        value = cap + interior - start_interior
+        cap = capacity_table(bd, ua, vertices_of(mask))[p]
+        value = cap + (mask & interior).bit_count() - start_interior
         if best is None or value > best:
             best = value
     return best
@@ -139,11 +176,12 @@ def oracle_potential_table(g, bd, ua, c, lim=OracleLimits(), space=None):
     if space.truncated:
         return None
     pair_list = bd.pairs()
-    sides = [(bd.side_mask(p) & ~(1 << p.base)) for p in pair_list]
-    start_interiors = [(c.mask & s).bit_count() for s in sides]
+    sides = [mask_of(bd.side_vertices(p)) & ~(1 << p.base) for p in pair_list]
+    start = mask_of(c)
+    start_interiors = [(start & s).bit_count() for s in sides]
     best = [None] * len(pair_list)
     for mask in space.visited:
-        caps = capacity_table(bd, ua, mask)
+        caps = capacity_table(bd, ua, vertices_of(mask))
         for i, p in enumerate(pair_list):
             value = caps[p] + (mask & sides[i]).bit_count() - start_interiors[i]
             if best[i] is None or value > best[i]:

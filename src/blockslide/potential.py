@@ -44,10 +44,10 @@ class Restriction:
 def restrict(bd, c, p):
     """Tokens of c lying in the side G[p], and the same minus the base."""
     bd.check_pair(p)
-    side = bd.side_mask(p)
-    tokens = c.mask & side
-    interior = tokens & ~(1 << p.base)
-    return Restriction(p, TokenSet._from_mask(tokens), TokenSet._from_mask(interior))
+    side = bd.side_vertices(p)
+    tokens = [v for v in c if v in side]
+    interior = [v for v in tokens if v != p.base]
+    return Restriction(p, TokenSet(bd.graph, tokens), TokenSet(bd.graph, interior))
 
 
 def _constants(bd, ua, vertices):
@@ -92,9 +92,10 @@ def _capacities(bd, ua, const):
     return cap
 
 
-def capacity_table(bd, ua, mask):
-    """Capacity of C[p] for every pair p, as a dict, for token bitmask C."""
-    const = _constants(bd, ua.array, TokenSet._from_mask(mask).vertices)
+def capacity_table(bd, ua, c):
+    """Capacity of C[p] for every pair p, as a dict, for the token set C:
+    a TokenSet or any iterable of distinct vertices."""
+    const = _constants(bd, ua.array, c)
     return dict(zip(bd.pairs(), _capacities(bd, ua.array, const)))
 
 

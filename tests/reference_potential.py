@@ -9,11 +9,12 @@ values; its iteration_count is counted differently (see test_potential).
 from dataclasses import dataclass
 
 from blockslide import TO_BLOCK, TO_VERTEX, Pair
+from blockslide.oracle import mask_of
 
 
 def _tokens_in_block_interior(bd, mask, bid, base):
     """|B ∩ interior(C[B,u])|: tokens inside block B other than the base."""
-    return (mask & bd.block_masks[bid] & ~(1 << base)).bit_count()
+    return (mask & mask_of(bd.blocks[bid]) & ~(1 << base)).bit_count()
 
 
 @dataclass(frozen=True)
@@ -43,7 +44,7 @@ def restart_sweep_potentials(bd, ua, c):
                 index[Pair(TO_BLOCK, v, p.block)] for v in bd.kappa(p.block, p.base)
             ]
             const[i] = ua_arr[i] - _tokens_in_block_interior(
-                bd, c.mask, p.block, p.base
+                bd, mask_of(c), p.block, p.base
             )
         else:
             deps[i] = [

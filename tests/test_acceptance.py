@@ -29,6 +29,7 @@ from blockslide import (
     NO,
 )
 from blockslide.fuzz import evaluate_instance, gen_fuzz_instance
+from blockslide.oracle import _successor_masks, adjacency_masks, mask_of
 from conftest import CHAIN_EDGES, CHAIN_NAMES
 
 # 10,000 seeds at the default envelope yield slightly under 500 NO
@@ -146,14 +147,14 @@ def test_chain_gadget_drain_requirement(capsys):
 
     t0 = time.monotonic()
     # BFS with predecessors so each state's path back to the start is known
-    parent = {start.mask: None}
-    frontier = [start.mask]
-    from blockslide.oracle import _successor_masks
+    parent = {mask_of(start): None}
+    frontier = [mask_of(start)]
+    adjacency = adjacency_masks(g)
 
     while frontier:
         nxt = []
         for mask in frontier:
-            for succ in _successor_masks(g, mask):
+            for succ in _successor_masks(g, adjacency, mask):
                 if succ not in parent:
                     parent[succ] = mask
                     nxt.append(succ)

@@ -104,6 +104,40 @@ def test_diamond_is_single_non_clique_block():
     assert not is_block_graph(g)
 
 
+def test_blocks_match_networkx():
+    """On general graphs, not only block graphs, the blocks are networkx's
+    biconnected components plus a singleton per isolated vertex."""
+    nx = pytest.importorskip("networkx")
+    rng = random.Random(4)
+    non_block = several = 0
+    for _ in range(6_000):
+        n = rng.randint(1, 14)
+        density = rng.random()
+        edges = [(u, v) for u in range(n) for v in range(u + 1, n)
+                 if rng.random() < density]
+        g = Graph(n, edges)
+        h = nx.Graph(edges)
+        h.add_nodes_from(range(n))
+        expected = [sorted(c) for c in nx.biconnected_components(h)]
+        expected += [[v] for v in range(n) if h.degree(v) == 0]
+        blocks = decompose(g).blocks
+        assert [sorted(b) for b in blocks] == sorted(expected)
+        non_block += not is_block_graph(g)
+        several += len(blocks) >= 3
+    assert non_block > 1_000 and several > 1_000
+
+
+def test_long_path_decomposes_without_recursion():
+    """A 100,000-vertex path is one DFS branch; an explicit stack takes it
+    where a recursive DFS would pass Python's recursion limit."""
+    n = 100_000
+    bd = decompose(Graph(n, [(i, i + 1) for i in range(n - 1)]))
+    assert len(bd.blocks) == n - 1
+    assert bd.blocks[0] == frozenset({0, 1})
+    assert bd.blocks[-1] == frozenset({n - 2, n - 1})
+    assert bd.cut_vertices == frozenset(range(1, n - 1))
+
+
 CORPUS = fuzz_corpus(120, seed=11)
 
 

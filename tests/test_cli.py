@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from blockslide import Reason, Verdict
+from blockslide import Graph, Reason, Verdict
 import blockslide.fuzz as fuzz_mod
 from blockslide.cli import main
 
@@ -111,6 +111,64 @@ def test_potentials_disconnected(tmp_path):
     assert "# component 1" in lines
     # second component's labels stay in the original 1-based numbering
     assert any(line.startswith("pot B0->5") for line in lines)
+
+
+# Three components with interleaved ids: the path 1-4-7-9, the triangle
+# 2-5-8 with the pendant 3, and the isolated vertex 6.  Globally the path's
+# blocks are B0, B3 and B5 and the triangle's B1 and B2; each component
+# numbers its own blocks from 0.
+INTERLEAVED = "p 9 7\ne 1 4\ne 4 7\ne 7 9\ne 2 5\ne 2 8\ne 5 8\ne 5 3\ns 1 9 8\nt 4 3 2\n"
+
+INTERLEAVED_SOURCE = """\
+# component 0
+pot B0->4 = 0 ua=1 d=0
+pot 4->B0 = 0 ua=0 d=3
+pot B1->4 = 0 ua=0 d=2
+pot 4->B1 = 0 ua=1 d=1
+pot B1->7 = 0 ua=0 d=2
+pot 7->B1 = 0 ua=1 d=1
+pot B2->7 = 0 ua=1 d=0
+pot 7->B2 = 0 ua=0 d=3
+# component 1
+pot B0->5 = 0 ua=1 d=0
+pot 5->B0 = 1 ua=1 d=1
+pot B1->5 = 1 ua=1 d=0
+pot 5->B1 = 0 ua=1 d=1
+# component 2
+"""
+
+INTERLEAVED_TARGET = """\
+# component 0
+pot B0->4 = 1 ua=1 d=0
+pot 4->B0 = 1 ua=0 d=3
+pot B1->4 = 1 ua=0 d=2
+pot 4->B1 = 1 ua=1 d=1
+pot B1->7 = 0 ua=0 d=2
+pot 7->B1 = 1 ua=1 d=1
+pot B2->7 = 1 ua=1 d=0
+pot 7->B2 = 0 ua=0 d=3
+# component 1
+pot B0->5 = 0 ua=1 d=0
+pot 5->B0 = 0 ua=1 d=1
+pot B1->5 = 0 ua=1 d=0
+pot 5->B1 = 0 ua=1 d=1
+# component 2
+"""
+
+
+def test_potentials_disconnected_golden(tmp_path):
+    path = write(tmp_path, INTERLEAVED)
+    assert run(["potentials", path]) == (0, INTERLEAVED_SOURCE)
+    assert run(["potentials", "--set", "target", path]) == (0, INTERLEAVED_TARGET)
+
+
+def test_potentials_copies_no_subgraph(tmp_path, monkeypatch):
+    """One decomposition of the whole graph serves every component."""
+    def induced(self, vertices):
+        raise AssertionError("potentials copied a subgraph")
+
+    monkeypatch.setattr(Graph, "induced", induced)
+    assert run(["potentials", write(tmp_path, INTERLEAVED)]) == (0, INTERLEAVED_SOURCE)
 
 
 def test_potentials_rejects_non_block_graph(tmp_path):

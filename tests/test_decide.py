@@ -1,3 +1,5 @@
+import tracemalloc
+
 import pytest
 
 from blockslide import (
@@ -173,3 +175,24 @@ def test_rigid_sets_equal_when_reachable(idx):
                 sub_verdict.details["rigid_source"]
                 == sub_verdict.details["rigid_target"]
             )
+
+
+def _decide_path_peak(n):
+    """tracemalloc peak of building a path, its token sets and deciding."""
+    tracemalloc.start()
+    try:
+        g = Graph(n, [(i, i + 1) for i in range(n - 1)])
+        verdict = decide(g, TokenSet(g, range(0, n, 4)), TokenSet(g, range(1, n, 4)))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert verdict.reachable
+    return peak
+
+
+def test_memory_grows_linearly():
+    """Four times the vertices take at most 4.6 times the memory.  With one
+    n-bit mask per vertex, block and token set the ratio was 6.8; without
+    them it is about 4.1.  tracemalloc counts the same bytes on every run."""
+    small, large = _decide_path_peak(4_096), _decide_path_peak(16_384)
+    assert large <= 4.6 * small, (small, large)

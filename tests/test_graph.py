@@ -15,6 +15,7 @@ from blockslide import (
     is_independent,
     is_under_attack,
 )
+from blockslide.oracle import mask_of
 
 
 def test_basic_adjacency(path3):
@@ -66,7 +67,9 @@ def test_token_set_validates_independence(path3):
         TokenSet(path3, [0, 1])
     ts = TokenSet(path3, [2, 0])
     assert ts.vertices == (0, 2)
-    assert ts.mask == 0b101
+    assert mask_of(ts) == 0b101
+    assert ts == TokenSet(path3, [0, 2]) and hash(ts) == hash(TokenSet(path3, [0, 2]))
+    assert ts != TokenSet(path3, [0]) and ts != (0, 2)
     assert 0 in ts and 1 not in ts
     assert len(ts) == 2
 

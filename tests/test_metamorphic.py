@@ -3,8 +3,9 @@
 On each large graph, a target reached from the source by a random walk of
 legal slides must decide YES; for an arbitrary second token set of the same
 size, swapping source and target and relabelling the vertices must both
-keep the verdict.  A disjoint union of such graphs is decided component
-by component.
+keep the verdict, and every token set along the walk must keep the source's
+rigid set.  A disjoint union of such graphs is decided component by
+component.
 """
 
 import random
@@ -16,9 +17,14 @@ from blockslide import (
     Graph,
     Instance,
     TokenSet,
+    compute_depths,
+    compute_potentials,
+    compute_ua,
     decide,
+    decompose,
     gen_block_graph,
     gen_independent_set,
+    rigid_vertices,
 )
 from conftest import disjoint_union
 
@@ -82,6 +88,25 @@ def test_random_walk_target_is_reachable(case):
     target = random_walk(g, source, 5 * k + 100, rng)
     assert len(target) == k
     assert decide(g, source, target).reachable
+
+
+def test_rigid_set_is_constant_along_a_walk(case):
+    """Slides never move a rigid vertex's tokens away, nor onto it: the
+    rigid set is the same for every token set reachable from C.  Checked at
+    ten points of the walk, since each check is one potential pass."""
+    g, rng, k, _ = case
+    bd = decompose(g)
+    ua = compute_ua(bd, compute_depths(bd))
+
+    def rigid(c):
+        return rigid_vertices(bd, ua, compute_potentials(bd, ua, c))
+
+    source = tokens = gen_independent_set(11, g, k)
+    expected = rigid(source)
+    for _ in range(10):
+        tokens = random_walk(g, tokens, (5 * k + 100) // 10, rng)
+        assert rigid(tokens) == expected
+    assert tokens != source
 
 
 def test_swap_and_relabel_keep_verdict(case):

@@ -90,7 +90,8 @@ def test_capacity_matches_definitional_recursion(idx):
     inst = CORPUS[idx]
     bd, ua = setup(inst.graph)
     for c in (inst.source, inst.target):
-        table = capacity_table(bd, ua, c.mask)
+        table = capacity_table(bd, ua, c)
+        assert capacity_table(bd, ua, list(c)) == table
         for p in bd.pairs():
             assert table[p] == slow_capacity(bd, c, p)
 
@@ -102,7 +103,7 @@ def test_potential_dominates_capacity(idx):
     bd, ua = setup(inst.graph)
     for c in (inst.source, inst.target):
         pot = compute_potentials(bd, ua, c)
-        table = capacity_table(bd, ua, c.mask)
+        table = capacity_table(bd, ua, c)
         for p in bd.pairs():
             assert pot[p] >= table[p] >= 0
             assert pot[p] <= bd.blocks_in_side(p)

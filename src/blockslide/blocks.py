@@ -321,4 +321,4 @@ def is_block_graph(g):
     exactly when every block is a clique.
     """
     blocks = decompose(g).blocks
-    return sum(len(b) * (len(b) - 1) // 2 for b in blocks) == len(g.edges)
+    return sum(len(b) * (len(b) - 1) // 2 for b in blocks) == g.m

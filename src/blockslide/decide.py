@@ -102,10 +102,14 @@ def decide_connected(g, bd, c1, c2):
     w2 = rigid_vertices(bd, ua, compute_potentials(bd, ua, c2))
     # The components left after removing w1 & w2, grouped by the component
     # of g holding them; where w1 and w2 differ no count is read.
-    remaining = [[] for _ in components]
-    after, _ = _token_counts(g, connected_components(g, without=w1 & w2), c1, c2)
-    for part in after:
-        remaining[label[min(part[0])]].append(part)
+    rigid = w1 & w2
+    if rigid:
+        remaining = [[] for _ in components]
+        after, _ = _token_counts(g, connected_components(g, without=rigid), c1, c2)
+        for part in after:
+            remaining[label[min(part[0])]].append(part)
+    else:  # nothing removed: each component is its own one part
+        remaining = [[part] for part in counts]
 
     details = {"components": []}
     for (comp, n1, _), parts in zip(counts, remaining):

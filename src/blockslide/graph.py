@@ -7,6 +7,8 @@ TokenSet are immutable after construction and safe to share.
 
 from __future__ import annotations
 
+from bisect import bisect_left
+
 from .errors import (
     DuplicateEdgeError,
     NotIndependentError,
@@ -16,15 +18,19 @@ from .errors import (
 
 
 class Graph:
-    """Immutable simple undirected graph with array-indexed adjacency."""
+    """Immutable simple undirected graph with array-indexed adjacency.
 
-    __slots__ = ("n", "edges", "adjacency")
+    adjacency[u] is the sorted tuple of u's neighbours and m the edge
+    count; the edge set is derived from adjacency only when read.
+    """
+
+    __slots__ = ("n", "m", "adjacency", "_edges")
 
     def __init__(self, n, edge_list):
         if n < 0:
             raise ValueError("vertex count must be nonnegative")
         self.n = n
-        seen = set()
+        seen = set()  # u * n + v for each edge (u, v) with u < v
         adjacency = [[] for _ in range(n)]
         for u, v in edge_list:
             if not (0 <= u < n):
@@ -33,14 +39,24 @@ class Graph:
                 raise VertexOutOfRangeError(v, n)
             if u == v:
                 raise SelfLoopError(u)
-            e = (u, v) if u < v else (v, u)
-            if e in seen:
-                raise DuplicateEdgeError(*e)
-            seen.add(e)
+            key = u * n + v if u < v else v * n + u
+            if key in seen:
+                raise DuplicateEdgeError(*divmod(key, n))
+            seen.add(key)
             adjacency[u].append(v)
             adjacency[v].append(u)
-        self.edges = frozenset(seen)
+        self.m = len(seen)
         self.adjacency = tuple(tuple(sorted(nbrs)) for nbrs in adjacency)
+        self._edges = None
+
+    @property
+    def edges(self):
+        """Frozenset of the edges as (u, v) with u < v, built on first use."""
+        if self._edges is None:
+            self._edges = frozenset(
+                (u, v) for u, nbrs in enumerate(self.adjacency) for v in nbrs if u < v
+            )
+        return self._edges
 
     def neighbors(self, u):
         self._check_vertex(u)
@@ -53,7 +69,9 @@ class Graph:
     def has_edge(self, u, v):
         self._check_vertex(u)
         self._check_vertex(v)
-        return (min(u, v), max(u, v)) in self.edges
+        nbrs = self.adjacency[u]
+        i = bisect_left(nbrs, v)
+        return i < len(nbrs) and nbrs[i] == v
 
     def _check_vertex(self, u):
         if not (0 <= u < self.n):
@@ -70,9 +88,10 @@ class Graph:
             self._check_vertex(u)
         to_sub = {u: i for i, u in enumerate(to_orig)}
         sub_edges = [
-            (to_sub[u], to_sub[v])
-            for (u, v) in self.edges
-            if u in to_sub and v in to_sub
+            (i, to_sub[v])
+            for i, u in enumerate(to_orig)
+            for v in self.adjacency[u]
+            if u < v and v in to_sub
         ]
         return Graph(len(to_orig), sub_edges), to_sub, to_orig
 
@@ -80,14 +99,14 @@ class Graph:
         return (
             isinstance(other, Graph)
             and self.n == other.n
-            and self.edges == other.edges
+            and self.adjacency == other.adjacency
         )
 
     def __hash__(self):
-        return hash((self.n, self.edges))
+        return hash((self.n, self.adjacency))
 
     def __repr__(self):
-        return f"Graph(n={self.n}, m={len(self.edges)})"
+        return f"Graph(n={self.n}, m={self.m})"
 
 
 class TokenSet:

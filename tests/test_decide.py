@@ -16,6 +16,8 @@ from blockslide import (
     decide_connected,
     decompose,
     oracle_reachable,
+    parse_instance,
+    render_instance,
     rigid_vertices,
 )
 from conftest import fuzz_corpus, union_corpus
@@ -133,6 +135,23 @@ def test_decide_copies_no_subgraph(monkeypatch):
     v = decide(g, [0, 3, 7, 8], [2, 5, 7, 9])
     assert v.reason is Reason.COMPONENT_COUNT_MISMATCH
     assert v.details["components"][-1][1].details["rigid_source"] == {6}
+
+
+def test_decide_reads_no_edge_set(monkeypatch):
+    """Parsing and deciding work on adjacency and the edge count alone."""
+    def edges(self):
+        raise AssertionError("Graph.edges was read")
+
+    texts = [render_instance(inst) for inst in fuzz_corpus(200) + union_corpus(20)]
+    texts.append("p 4 2\ne 1 2\ne 3 4\ns 1\nt 3\n")  # unequal per component
+    monkeypatch.setattr(Graph, "edges", property(edges))
+    verdicts = set()
+    for text in texts:
+        inst = parse_instance(text)
+        verdicts.add(decide(inst.graph, inst.source, inst.target).reason)
+    assert len(verdicts) == len(Reason)
+    with pytest.raises(NotABlockGraphError):
+        decide(Graph(4, [(0, 1), (1, 2), (2, 3), (3, 0)]), [], [])
 
 
 UNIONS = union_corpus(120)

@@ -1,3 +1,4 @@
+import random
 import types
 
 import pytest
@@ -16,6 +17,8 @@ from blockslide import (
     is_under_attack,
 )
 from blockslide.oracle import mask_of
+from conftest import fuzz_corpus
+from reference_instance import reference_graph
 
 
 def test_basic_adjacency(path3):
@@ -29,6 +32,33 @@ def test_basic_adjacency(path3):
 def test_edge_normalisation():
     g = Graph(3, [(2, 0)])
     assert g.edges == frozenset({(0, 2)})
+    assert g.m == 1 and repr(g) == "Graph(n=3, m=1)"
+
+
+def test_graph_matches_tuple_keyed_reference():
+    """m, adjacency and the lazily built edge set equal those of the
+    tuple-keyed construction, for edges given in random order and
+    orientation; equality and hashing follow the edge set."""
+    rng = random.Random(5)
+    for inst in fuzz_corpus(300):
+        edge_list = [(v, u) if rng.random() < 0.5 else (u, v) for u, v in inst.graph.edges]
+        rng.shuffle(edge_list)
+        g = Graph(inst.graph.n, edge_list)
+        ref = reference_graph(inst.graph.n, edge_list)
+        assert g.m == len(edge_list) == len(ref.edges)
+        assert g.adjacency == ref.adjacency
+        assert g.edges == ref.edges == {(min(e), max(e)) for e in edge_list}
+        assert g == inst.graph and hash(g) == hash(inst.graph)
+        assert all(g.has_edge(u, v) and g.has_edge(v, u) for u, v in edge_list)
+    assert Graph(3, [(0, 1)]) != Graph(3, [(1, 2)])
+    assert Graph(3, [(0, 1)]) != Graph(4, [(0, 1)])
+
+
+def test_duplicate_edge_reports_normalised_pair():
+    with pytest.raises(DuplicateEdgeError) as exc:
+        Graph(5, [(1, 4), (0, 2), (4, 1)])
+    assert exc.value.edge == (1, 4)
+    assert str(exc.value) == "duplicate edge (1, 4)"
 
 
 def test_rejects_self_loop():

@@ -1,6 +1,9 @@
+import random
+
 import pytest
 
 from blockslide import (
+    BlockslideError,
     Graph,
     InstanceFormatError,
     Instance,
@@ -12,6 +15,7 @@ from blockslide import (
     render_instance,
 )
 from blockslide.fuzz import gen_fuzz_instance
+from reference_instance import reference_parse_instance
 
 
 GOOD = """\
@@ -121,3 +125,136 @@ def test_render_format():
     g = Graph(2, [(0, 1)])
     inst = Instance(g, TokenSet(g, [0]), TokenSet(g, [1]))
     assert render_instance(inst) == "p 2 1\ne 1 2\ns 1\nt 2\n"
+
+
+def test_trailing_comment_is_rejected_with_line():
+    # only a line whose first field starts with '#' is a comment
+    with pytest.raises(InstanceFormatError) as exc:
+        parse_instance("p 2 1\ne 1 2 # note\ns\nt\n")
+    assert exc.value.line == 2
+    assert str(exc.value) == "line 2: edge line must be 'e <u> <v>'"
+    with pytest.raises(InstanceFormatError) as exc:
+        parse_instance("p 2 1\ne 1 2\n  # indented comment\ns 1 # note\nt\n")
+    assert exc.value.line == 4
+    assert str(exc.value) == "line 4: expected integer source vertex, got '#'"
+
+
+def test_first_error_in_line_order_wins():
+    # an edge line is checked in bulk after the loop, but its error still
+    # beats any error on a later line and every end-of-file check
+    with pytest.raises(VertexOutOfRangeError) as exc:
+        parse_instance("p 3 2\ne 1 2\ne 2 7\ns\nq\nt\n")
+    assert str(exc.value) == "vertex 7 out of range for graph with 3 vertices"
+    with pytest.raises(InstanceFormatError) as exc:
+        parse_instance("p 3 2\ne 1 2\ne x 9\ns 1 1\nt\n")
+    assert exc.value.line == 3 and "got 'x'" in str(exc.value)
+    with pytest.raises(VertexOutOfRangeError) as exc:
+        parse_instance("p 3 9\ne 0 2\ns\n")
+    assert exc.value.vertex == 0
+    # an error on an earlier line beats a bad edge line after it
+    with pytest.raises(InstanceFormatError) as exc:
+        parse_instance("p 3 2\ne 1 2\np 3 2\ne 2 7\ns\nt\n")
+    assert exc.value.line == 3 and "duplicate header" in str(exc.value)
+
+
+# None of them is a vertex count above 10: a mutated header allocates n lists
+BAD_INTEGERS = ["x", "-1", "+2", "1_0", "0", "1.0", "0x1", "\u0663", ""]
+WHITESPACE = [" ", "\t", "  ", "\xa0", "\u3000"]
+SEPARATORS = ["\n", "\r\n", "\r", "\f", "\n\f", "\x85"]
+
+
+def _random_line(rng, lines, n):
+    """One line that is valid, malformed or a comment, drawn from the kinds
+    a hand-edited file holds."""
+    edges = [f[1:] for f in map(str.split, lines) if len(f) == 3 and f[0] == "e"]
+    vertex = lambda: str(rng.randint(1, max(n, 1)))
+    kind = rng.randrange(14)
+    if kind == 0:
+        return rng.choice(["# note", "#", "#e 1 2", "  # indented"])
+    if kind == 1:
+        return rng.choice(["", " ", "\t \t", "\xa0"])
+    if kind == 2:
+        return f"e {vertex()} {vertex()}"
+    if kind == 3:
+        v = vertex()
+        return f"e {v} {v}"
+    if kind == 4 and edges:
+        u, v = rng.choice(edges)
+        return f"e {v} {u}" if rng.random() < 0.5 else f"e {u} {v}"
+    if kind == 5:
+        return rng.choice([f"e {vertex()} {n + 1}", f"e {n + rng.randint(1, 3)} 1"])
+    if kind == 6:
+        return f"e {rng.choice(BAD_INTEGERS + ['9' * 30])} {vertex()}"
+    if kind == 7:
+        return f"e {vertex()} {vertex()} # note"
+    if kind == 8:
+        return rng.choice(["e", f"e {vertex()}", "e 1 2 3", "p", f"p {n} x"])
+    if kind == 9:
+        return rng.choice([f"p {n} {len(edges)}", f"p {n} {len(edges) + 1}", "p -1 0"])
+    if kind == 10:
+        return f"{rng.choice('st')} " + " ".join(vertex() for _ in range(rng.randint(0, 3)))
+    if kind == 11:
+        return f"{rng.choice('st')} {rng.choice(BAD_INTEGERS)}"
+    if kind == 12:
+        return rng.choice(["q 1", "E 1 2", "ee 1 2", "x"])
+    return f"e {vertex()} {vertex()}"
+
+
+def mutate(rng, text, n):
+    """Text with one to four random line edits, random whitespace, line
+    separators and, sometimes, no trailing newline."""
+    lines = text.splitlines()
+    for _ in range(rng.randint(1, 4)):
+        op = rng.randrange(6)
+        i = rng.randint(0, len(lines))
+        if op == 0:
+            lines.insert(i, _random_line(rng, lines, n))
+        elif op == 1 and lines:
+            del lines[min(i, len(lines) - 1)]
+        elif op == 2 and lines:
+            lines.insert(i, rng.choice(lines))
+        elif op == 3 and lines:
+            j = min(i, len(lines) - 1)
+            fields = lines[j].split()
+            if len(fields) > 1:
+                fields[rng.randrange(1, len(fields))] = rng.choice(BAD_INTEGERS)
+                lines[j] = " ".join(fields)
+        elif op == 4 and lines:
+            j = min(i, len(lines) - 1)
+            ws = rng.choice(WHITESPACE)
+            lines[j] = ws + lines[j].replace(" ", rng.choice(WHITESPACE)) + ws
+        elif op == 5 and lines:
+            j = min(i, len(lines) - 1)
+            fields = lines[j].split()
+            if fields[:1] == ["e"] and len(fields) == 3:
+                lines[j] = f"e {fields[2]} {fields[1]}"
+    sep = rng.choice(SEPARATORS)
+    out = sep.join(lines)
+    return out + sep if rng.random() < 0.8 else out
+
+
+def outcome(parse, text):
+    """The error (type, message, line), or the parsed graph and token sets."""
+    try:
+        inst = parse(text)
+    except BlockslideError as exc:
+        return ("error", type(exc), str(exc), getattr(exc, "line", None))
+    g = inst.graph
+    return ("ok", g.n, g.adjacency, g.edges, inst.source.vertices, inst.target.vertices)
+
+
+def test_parse_matches_line_by_line_reference():
+    rng = random.Random(20241)
+    seen = set()
+    for i in range(4000):
+        inst = gen_fuzz_instance(i % 400)
+        text = mutate(rng, render_instance(inst), inst.graph.n)
+        got = outcome(parse_instance, text)
+        assert got == outcome(reference_parse_instance, text), text
+        seen.add(got[1].__name__ if got[0] == "error" else "ok")
+    # the mutations reach every kind of outcome
+    assert seen >= {
+        "ok", "InstanceFormatError", "MissingSectionError",
+        "VertexOutOfRangeError", "SelfLoopError", "DuplicateEdgeError",
+        "NotIndependentError",
+    }, seen

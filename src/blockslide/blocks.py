@@ -182,11 +182,12 @@ class PairIndex:
     first half holds the pairs whose side is the subtree below a tree edge,
     children before parents; its second half holds their reverses, parents
     before children, with the pairs sharing a node next to each other.  A
-    pass over it can read, for each pair, totals over into[node[p]] minus
-    the reverse p ^ 1: in the first half the reverse is the one pair of the
-    list not yet computed, so its starting value must add nothing to the
-    totals; in the second half each node's totals serve all its pairs, and
-    consecutive pairs share a node only there.
+    pass over it can keep running totals per node: once a pair's value is
+    set, it is added to the totals of node[p ^ 1], as into[node[p ^ 1]]
+    holds p.  Each pair then reads its node's totals minus its reverse
+    p ^ 1 in O(1): in the first half the reverse is the one pair of the
+    list not yet set, so its starting value must add nothing to the
+    totals; in the second half every pair of the list is set.
     """
 
     __slots__ = ("base", "block", "node", "into", "cut_node", "order")

@@ -2,7 +2,7 @@
 
 Format (ASCII, LF line endings):
     # a line whose first field starts with '#' is a comment
-    p <n> <m>          header: vertex and edge counts
+    p <n> <m>          header: vertex and edge counts, n <= MAX_VERTICES
     e <u> <v>          exactly m edge lines, 1-based endpoints
     s <v...>           source tokens (may be empty after the tag)
     t <v...>           target tokens
@@ -22,6 +22,10 @@ from .errors import (
     VertexOutOfRangeError,
 )
 from .graph import Graph, TokenSet
+
+# The largest vertex count a header may declare: Graph holds a list per
+# vertex, and at this limit parsing a header with no edges peaks at 76 MB.
+MAX_VERTICES = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -104,6 +108,8 @@ def parse_instance(text):
                 m = _parse_int(fields[2], lineno, "edge count")
                 if n < 0 or m < 0:
                     raise InstanceFormatError("counts must be nonnegative", lineno)
+                if n > MAX_VERTICES:
+                    raise InstanceFormatError(f"more than {MAX_VERTICES} vertices", lineno)
                 header_line = lineno
             elif tag == "e":
                 if n is None:

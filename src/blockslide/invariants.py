@@ -4,10 +4,10 @@ Both are defined by mutual recursion over the block-cut tree: a (B,u) pair
 depends on the (v,B) pairs for v in kappa(B,u), and a (u,B) pair depends on
 the (B',u) pairs for B' in beta(u,B).  In the pair index these are the
 pairs into[node[p]] other than p ^ 1, and each table is one pass over the
-index's rooted order.  A pair reads totals over its node's list minus its
-own reverse: the two largest depths, or the count of ua pairs.  Each
-node's totals are taken once for all its pairs, so a node of degree d
-costs O(d).
+index's rooted order.  Each node keeps running totals over its list: the
+two largest depths, or the count of ua pairs.  A pair adds its value to
+the totals of node[p ^ 1], whose list holds it, once the value is set, and
+reads its own node's totals minus its reverse; so every pair costs O(1).
 """
 
 from __future__ import annotations
@@ -31,20 +31,19 @@ def compute_depths(bd):
     """d(p): 0 for a (B,u) pair with no dependency, else one more than the
     largest depth among its dependencies."""
     ix = bd.index()
-    node, into = ix.node, ix.into
+    node = ix.node
     d = [-1] * len(node)  # -1 is below every depth, so it adds nothing
-    last = -1
+    # the two largest depths set so far in into[x], with repeats
+    top, second = [-1] * len(ix.into), [-1] * len(ix.into)
     for p in ix.order:
-        x = node[p]
-        if x != last:
-            last = x
-            top = second = -1  # the two largest depths at x, with repeats
-            for v in map(d.__getitem__, into[x]):
-                if v > top:
-                    top, second = v, top
-                elif v > second:
-                    second = v
-        d[p] = 1 + (second if d[p ^ 1] == top else top)
+        x, r = node[p], p ^ 1
+        v = d[p] = 1 + (second[x] if d[r] == top[x] else top[x])
+        h = node[r]
+        if v > top[h]:
+            second[h] = top[h]
+            top[h] = v
+        elif v > second[h]:
+            second[h] = v
     return DepthTable(bd, d)
 
 
@@ -54,18 +53,20 @@ def compute_ua(bd, depths):
     (B',u) has ua."""
     ix = bd.index()
     node, into, d = ix.node, ix.into, depths.array
-    # a block made only of cut vertices: kappa(B,u) | {u} == B
-    all_cuts = [len(into[b]) == len(members) for b, members in enumerate(bd.blocks)]
+    # per block B, the ua count over kappa(B,u) that makes ua(B,u) false:
+    # all of it if B has only cut vertices, else -1, which no count equals
+    full = [len(qs) - 1 if len(qs) == len(b) else -1 for qs, b in zip(into, bd.blocks)]
+    count = [0] * len(into)  # the ua pairs set in into[x]
     ua = [False] * len(node)
-    last = -1
     for p in ix.order:
-        x = node[p]
-        if x != last:
-            last = x
-            true_count = sum(map(ua.__getitem__, into[x]))
+        r = p ^ 1
         if d[p] == 0:
+            value = True
+        elif p & 1:
+            value = count[node[p]] > ua[r]
+        else:
+            value = count[node[p]] - ua[r] != full[node[p]]
+        if value:
             ua[p] = True
-            continue
-        inner = true_count - ua[p ^ 1]
-        ua[p] = inner > 0 if p & 1 else not (inner == len(into[x]) - 1 and all_cuts[x])
+            count[node[r]] += 1
     return UaTable(bd, ua)

@@ -3,7 +3,9 @@
 Both run over the flat lists of the pair index (BlockDecomposition.index).
 Each pair's equation has a constant term: ua(p), minus, for a (B,u) pair,
 the tokens of B other than u.  The capacity is one pass over the index's
-rooted order, in which a pair reads its node's totals minus its reverse.
+rooted order with running totals per node: a pair reads its node's totals
+minus its reverse, and adds its own value to the totals of node[p ^ 1],
+so every pair costs O(1).  The fixed point starts from those totals.
 
 The potential is the least fixed point above 0 of G(y) = max(y, F(y)),
 where F is the right-hand side of the potential equations:
@@ -64,45 +66,46 @@ def _constants(bd, ua, vertices):
 
 
 def _capacities(bd, ua, const):
-    """cap(C[p]) for every pair id, from the constants of token set C."""
+    """cap(C[p]) for every pair id, from the constants of token set C, and
+    the running totals per node x over into[x]: for a block, the sum of cap;
+    for a cut vertex, the sum of cap - ua, and the count of pairs with
+    cap = 0 and ua, which blocks its (u,B) pairs at two.  Unset caps are 0."""
     ix = bd.index()
     node, into = ix.node, ix.into
+    nblocks = len(bd.blocks)
+    zeros = [0] * nblocks + [sum(map(ua.__getitem__, qs)) for qs in into[nblocks:]]
+    total = [-z for z in zeros]
     cap = [0] * len(node)
-    last = -1
     for p in ix.order:
         x, r = node[p], p ^ 1
-        if x != last:
-            last = x
-            qs = into[x]
-            total = sum(map(cap.__getitem__, qs))
-            if p & 1:
-                if len(qs) < 2:
-                    raise InternalError(f"beta is empty at pair id {p}")
-                total -= sum(map(ua.__getitem__, qs))
-                zeros = sum([1 for q in qs if cap[q] == 0 and ua[q]])
         if not p & 1:
-            value = total - cap[r] + const[p]
-        elif zeros - (cap[r] == 0 and ua[r]):
+            value = total[x] - cap[r] + const[p]
+        elif len(into[x]) < 2:
+            raise InternalError(f"beta is empty at pair id {p}")
+        elif zeros[x] - (cap[r] == 0 and ua[r]):
             value = 0
         else:
-            value = total - (cap[r] - ua[r]) + const[p]
+            value = total[x] - (cap[r] - ua[r]) + const[p]
         if value < 0:
             raise InternalError(f"negative capacity at pair id {p}")
         cap[p] = value
-    return cap
+        total[node[r]] += value  # p is one of into[node[r]]
+        if value and not p & 1 and ua[p]:
+            zeros[node[r]] -= 1
+    return cap, total, zeros
 
 
 def capacity_table(bd, ua, c):
     """Capacity of C[p] for every pair p, as a dict, for the token set C:
     a TokenSet or any iterable of distinct vertices."""
     const = _constants(bd, ua.array, c)
-    return dict(zip(bd.pairs(), _capacities(bd, ua.array, const)))
+    return dict(zip(bd.pairs(), _capacities(bd, ua.array, const)[0]))
 
 
 def capacity(bd, ua, c, p):
     """cap(C[p]) for the restriction of token set c to pair p."""
     i = bd.pair_id(p)
-    return _capacities(bd, ua.array, _constants(bd, ua.array, c.vertices))[i]
+    return _capacities(bd, ua.array, _constants(bd, ua.array, c.vertices))[0][i]
 
 
 class PotentialTable(PairTable):
@@ -123,18 +126,7 @@ def compute_potentials(bd, ua, c):
     node, into = ix.node, ix.into
     ua = ua.array
     const = _constants(bd, ua, c.vertices)
-    y = _capacities(bd, ua, const)
-    # Running totals per node x, over the pairs into[x]: for a block, the
-    # sum of y; for a cut vertex, the sum of y - ua and the count of pairs
-    # with y = 0 and ua, which blocks the vertex's (u,B) pairs at two.
-    nblocks = len(bd.blocks)
-    total = [sum(map(y.__getitem__, qs)) for qs in into[:nblocks]]
-    total += [
-        sum(map(y.__getitem__, qs)) - sum(map(ua.__getitem__, qs))
-        for qs in into[nblocks:]
-    ]
-    zeros = [0] * nblocks
-    zeros += [sum([1 for q in qs if y[q] == 0 and ua[q]]) for qs in into[nblocks:]]
+    y, total, zeros = _capacities(bd, ua, const)  # kept running as y grows
 
     # Seeded in the rooted order, most pairs are first evaluated after their
     # dependencies.  On random block graphs of 2,000-4,000 blocks that took

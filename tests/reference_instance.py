@@ -17,6 +17,7 @@ from blockslide import (
     TokenSet,
     VertexOutOfRangeError,
 )
+from blockslide.instance import MAX_VERTICES
 
 
 @dataclass(frozen=True)
@@ -101,6 +102,8 @@ def reference_parse_instance(text):
             m = _parse_int(fields[2], lineno, "edge count")
             if n < 0 or m < 0:
                 raise InstanceFormatError("counts must be nonnegative", lineno)
+            if n > MAX_VERTICES:
+                raise InstanceFormatError(f"more than {MAX_VERTICES} vertices", lineno)
             header_line = lineno
         elif tag == "e":
             if n is None:

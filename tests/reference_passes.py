@@ -1,0 +1,99 @@
+"""The per-node re-summing passes for depth, ua and capacity, kept as a
+reference.
+
+Each pass walks the pair index's rooted order and, at the first pair of
+every node, sums the node's whole into[x] list again: the two largest
+depths, the count of ua pairs, or the sum of cap (of cap - ua and the count
+of pairs with cap = 0 and ua at a cut vertex).  reference_totals takes the
+same sums once per node over the finished capacities, as the fixed point's
+start did.  The running-total passes of blockslide must return the same
+lists.
+"""
+
+from blockslide import InternalError
+
+
+def reference_depths(bd):
+    """d(p) per pair id."""
+    ix = bd.index()
+    node, into = ix.node, ix.into
+    d = [-1] * len(node)  # -1 is below every depth, so it adds nothing
+    last = -1
+    for p in ix.order:
+        x = node[p]
+        if x != last:
+            last = x
+            top = second = -1  # the two largest depths at x, with repeats
+            for v in map(d.__getitem__, into[x]):
+                if v > top:
+                    top, second = v, top
+                elif v > second:
+                    second = v
+        d[p] = 1 + (second if d[p ^ 1] == top else top)
+    return d
+
+
+def reference_ua(bd, d):
+    """ua(p) per pair id, from the depth list d."""
+    ix = bd.index()
+    node, into = ix.node, ix.into
+    # a block made only of cut vertices: kappa(B,u) | {u} == B
+    all_cuts = [len(into[b]) == len(members) for b, members in enumerate(bd.blocks)]
+    ua = [False] * len(node)
+    last = -1
+    for p in ix.order:
+        x = node[p]
+        if x != last:
+            last = x
+            true_count = sum(map(ua.__getitem__, into[x]))
+        if d[p] == 0:
+            ua[p] = True
+            continue
+        inner = true_count - ua[p ^ 1]
+        ua[p] = inner > 0 if p & 1 else not (inner == len(into[x]) - 1 and all_cuts[x])
+    return ua
+
+
+def reference_capacities(bd, ua, const):
+    """cap(C[p]) per pair id, from the ua list and the constants of C."""
+    ix = bd.index()
+    node, into = ix.node, ix.into
+    cap = [0] * len(node)
+    last = -1
+    for p in ix.order:
+        x, r = node[p], p ^ 1
+        if x != last:
+            last = x
+            qs = into[x]
+            total = sum(map(cap.__getitem__, qs))
+            if p & 1:
+                if len(qs) < 2:
+                    raise InternalError(f"beta is empty at pair id {p}")
+                total -= sum(map(ua.__getitem__, qs))
+                zeros = sum([1 for q in qs if cap[q] == 0 and ua[q]])
+        if not p & 1:
+            value = total - cap[r] + const[p]
+        elif zeros - (cap[r] == 0 and ua[r]):
+            value = 0
+        else:
+            value = total - (cap[r] - ua[r]) + const[p]
+        if value < 0:
+            raise InternalError(f"negative capacity at pair id {p}")
+        cap[p] = value
+    return cap
+
+
+def reference_totals(bd, ua, y):
+    """Per node x, over the pairs into[x]: for a block, the sum of y; for a
+    cut vertex, the sum of y - ua.  And per node the count of pairs with
+    y = 0 and ua, which is 0 for a block."""
+    into = bd.index().into
+    nblocks = len(bd.blocks)
+    total = [sum(map(y.__getitem__, qs)) for qs in into[:nblocks]]
+    total += [
+        sum(map(y.__getitem__, qs)) - sum(map(ua.__getitem__, qs))
+        for qs in into[nblocks:]
+    ]
+    zeros = [0] * nblocks
+    zeros += [sum([1 for q in qs if y[q] == 0 and ua[q]]) for qs in into[nblocks:]]
+    return total, zeros

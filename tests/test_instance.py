@@ -1,4 +1,6 @@
+import io
 import random
+import time
 
 import pytest
 
@@ -14,7 +16,9 @@ from blockslide import (
     parse_instance,
     render_instance,
 )
+from blockslide.cli import main
 from blockslide.fuzz import gen_fuzz_instance
+from blockslide.instance import MAX_VERTICES
 from reference_instance import reference_parse_instance
 
 
@@ -157,8 +161,28 @@ def test_first_error_in_line_order_wins():
     assert exc.value.line == 3 and "duplicate header" in str(exc.value)
 
 
-# None of them is a vertex count above 10: a mutated header allocates n lists
-BAD_INTEGERS = ["x", "-1", "+2", "1_0", "0", "1.0", "0x1", "\u0663", ""]
+def test_header_vertex_count_is_bounded(tmp_path):
+    """A header above the limit is rejected before Graph allocates its n
+    lists; the limit leaves room for graphs of a million vertices."""
+    assert MAX_VERTICES >= 1 << 20
+    for count in (MAX_VERTICES + 1, 10**29 + 7):
+        text = f"p {count} 0\ns\nt\n"
+        with pytest.raises(InstanceFormatError) as exc:
+            parse_instance(text)
+        assert exc.value.line == 1
+        assert str(exc.value) == f"line 1: more than {MAX_VERTICES} vertices"
+        path = tmp_path / "huge.ts"
+        path.write_text(text)
+        started = time.perf_counter()
+        assert main(["decide", str(path)], out=io.StringIO()) == 2
+        assert time.perf_counter() - started < 0.5
+    assert parse_instance(f"p {MAX_VERTICES} 0\ns\nt\n").graph.n == MAX_VERTICES
+
+
+# None of them is a vertex count from 11 up to MAX_VERTICES: a mutated
+# header allocates n lists.  Counts above the limit are rejected first.
+HUGE = [str(MAX_VERTICES + 1), "9" * 30]
+BAD_INTEGERS = ["x", "-1", "+2", "1_0", "0", "1.0", "0x1", "\u0663", ""] + HUGE
 WHITESPACE = [" ", "\t", "  ", "\xa0", "\u3000"]
 SEPARATORS = ["\n", "\r\n", "\r", "\f", "\n\f", "\x85"]
 
@@ -190,7 +214,10 @@ def _random_line(rng, lines, n):
     if kind == 8:
         return rng.choice(["e", f"e {vertex()}", "e 1 2 3", "p", f"p {n} x"])
     if kind == 9:
-        return rng.choice([f"p {n} {len(edges)}", f"p {n} {len(edges) + 1}", "p -1 0"])
+        return rng.choice(
+            [f"p {n} {len(edges)}", f"p {n} {len(edges) + 1}", "p -1 0"]
+            + [f"p {count} {len(edges)}" for count in HUGE]
+        )
     if kind == 10:
         return f"{rng.choice('st')} " + " ".join(vertex() for _ in range(rng.randint(0, 3)))
     if kind == 11:
@@ -252,9 +279,11 @@ def test_parse_matches_line_by_line_reference():
         got = outcome(parse_instance, text)
         assert got == outcome(reference_parse_instance, text), text
         seen.add(got[1].__name__ if got[0] == "error" else "ok")
+        if got[0] == "error" and f"more than {MAX_VERTICES} vertices" in got[2]:
+            seen.add("huge header")
     # the mutations reach every kind of outcome
     assert seen >= {
         "ok", "InstanceFormatError", "MissingSectionError",
         "VertexOutOfRangeError", "SelfLoopError", "DuplicateEdgeError",
-        "NotIndependentError",
+        "NotIndependentError", "huge header",
     }, seen

@@ -1,0 +1,165 @@
+"""The running-total passes against the per-node re-summing reference.
+
+compute_depths, compute_ua and the capacity pass add each pair's value to
+its holder's totals once; reference_passes sums every node's list again.
+Both must give the same depth, ua and capacity lists, and the fixed point
+started from either must give the same potentials and iteration_count.
+"""
+
+import os
+import random
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import blockslide
+import blockslide.potential as potential
+from blockslide import (
+    GenParams,
+    Graph,
+    Instance,
+    TokenSet,
+    compute_depths,
+    compute_potentials,
+    compute_ua,
+    decompose,
+    gen_block_graph,
+)
+from blockslide.gen import gen_token_sets
+from conftest import disjoint_union, fuzz_corpus, union_corpus
+from reference_passes import (
+    reference_capacities,
+    reference_depths,
+    reference_totals,
+    reference_ua,
+)
+
+
+def _reference_start(bd, ua, const):
+    cap = reference_capacities(bd, ua, const)
+    return (cap, *reference_totals(bd, ua, cap))
+
+
+def check_against_reference(inst):
+    """Depth, ua, capacity and potential lists and iteration_count of both
+    token sets equal those from the reference passes."""
+    bd = decompose(inst.graph)
+    d = compute_depths(bd)
+    ref_d = reference_depths(bd)
+    assert d.array == ref_d
+    ua = compute_ua(bd, d)
+    assert ua.array == reference_ua(bd, ref_d)
+    for c in (inst.source, inst.target):
+        const = potential._constants(bd, ua.array, c.vertices)
+        cap = potential._capacities(bd, ua.array, const)[0]
+        assert cap == reference_capacities(bd, ua.array, const)
+        pot = compute_potentials(bd, ua, c)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(potential, "_capacities", _reference_start)
+            ref = compute_potentials(bd, ua, c)
+        assert pot.array == ref.array
+        assert pot.iteration_count == ref.iteration_count
+
+
+@pytest.mark.parametrize("start", range(0, 3000, 500))
+def test_passes_match_reference_on_fuzz_seeds(start):
+    for inst in fuzz_corpus(500, seed=start):
+        check_against_reference(inst)
+
+
+def _shuffled(inst, rng):
+    """inst with its vertex ids permuted, so components interleave."""
+    perm = list(range(inst.graph.n))
+    rng.shuffle(perm)
+    g = Graph(inst.graph.n, [(perm[u], perm[v]) for u, v in inst.graph.edges])
+    return Instance(
+        g,
+        TokenSet(g, [perm[v] for v in inst.source]),
+        TokenSet(g, [perm[v] for v in inst.target]),
+    )
+
+
+def test_passes_match_reference_on_shuffled_unions():
+    rng = random.Random("passes")
+    unions = union_corpus(60)
+    unions += [disjoint_union(fuzz_corpus(6, seed=7000 + 6 * i)) for i in range(30)]
+    for inst in unions:
+        check_against_reference(_shuffled(inst, rng))
+
+
+def _caterpillar(n):
+    spine = n // 2
+    edges = [(i, i + 1) for i in range(spine - 1)]
+    edges += [(i, spine + i) for i in range(n - spine)]
+    return Graph(n, edges)
+
+
+def _k4_chain(n):
+    links = (n - 1) // 3
+    edges = []
+    for k in range(links):
+        vs = range(3 * k, 3 * k + 4)
+        edges += [(a, b) for a in vs for b in vs if a < b]
+    return Graph(3 * links + 1, edges)
+
+
+# The star is the case a per-node sum serves worst: its centre's list holds
+# every one of its 4,095 blocks.
+LADDER = {
+    "path": lambda n: Graph(n, [(i, i + 1) for i in range(n - 1)]),
+    "caterpillar": _caterpillar,
+    "star": lambda n: Graph(n, [(0, i) for i in range(1, n)]),
+    "k4_chain": _k4_chain,
+    "random_blocks": lambda n: gen_block_graph(GenParams(3, n // 2, 5)),
+}
+
+
+@pytest.mark.parametrize("shape", sorted(LADDER))
+def test_passes_match_reference_on_ladder_shapes(shape):
+    g = LADDER[shape](4096)
+    assert g.n >= 4000
+    check_against_reference(Instance(g, *gen_token_sets(g, g.n // 4, 1, 2)))
+
+
+def test_capacity_totals_equal_fresh_sums():
+    """The totals the fixed point starts from are the node sums of the
+    capacities the same pass returns."""
+    for inst in fuzz_corpus(500) + union_corpus(40):
+        bd = decompose(inst.graph)
+        ua = compute_ua(bd, compute_depths(bd)).array
+        for c in (inst.source, inst.target):
+            const = potential._constants(bd, ua, c.vertices)
+            cap, total, zeros = potential._capacities(bd, ua, const)
+            assert (total, zeros) == reference_totals(bd, ua, cap)
+
+
+def test_capacity_checks_fire_under_optimize():
+    """Both InternalError checks of the capacity pass are plain raises, so
+    they still fire under python -O."""
+    script = (
+        "import sys\n"
+        "if __debug__:\n"
+        "    sys.exit('not running under -O')\n"
+        "from blockslide import Graph, InternalError, compute_depths, compute_ua, decompose\n"
+        "from blockslide.potential import _capacities\n"
+        "bd = decompose(Graph(3, [(0, 1), (1, 2)]))\n"
+        "ua = compute_ua(bd, compute_depths(bd)).array\n"
+        "for const, into in (([-5] * 4, [0, 2]), ([0] * 4, [0])):\n"
+        "    bd.index().into[2] = into  # the cut vertex's (B,u) pairs\n"
+        "    try:\n"
+        "        _capacities(bd, ua, const)\n"
+        "    except InternalError as exc:\n"
+        "        print(exc)\n"
+    )
+    result = subprocess.run(
+        [sys.executable, "-O", "-c", script],
+        env=dict(os.environ, PYTHONPATH=str(Path(blockslide.__file__).parents[1])),
+        capture_output=True, text=True, timeout=60,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines() == [
+        "negative capacity at pair id 2",
+        "beta is empty at pair id 1",
+    ]

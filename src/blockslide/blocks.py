@@ -46,27 +46,57 @@ class Pair:
 class BlockDecomposition:
     """Result of the articulation-point DFS over a Graph.
 
+    members is the one table a decomposition keeps: per block id, the
+    block's sorted vertex tuple.  blocks (a frozenset per block), blocks_of
+    (the sorted block ids of each vertex) and cut_vertices are views built
+    from it on first read, like Graph.edges; decide reads none of them.
+    A tuple of ints is no container that CPython's cyclic garbage
+    collector keeps tracking, but a frozenset or a list is, and every
+    full collection walks each tracked object again; kept eagerly, the
+    views would add one such object per block and per vertex.
+
     Immutable after construction; all queries are pure.
     """
 
     def __init__(self, graph):
         self.graph = graph
-        raw_blocks = _biconnected_blocks(graph)
-        for b in raw_blocks:
-            b.sort()
-        raw_blocks.sort()
-        self.blocks = tuple(map(frozenset, raw_blocks))
-        blocks_of = [[] for _ in range(graph.n)]
-        for bid, b in enumerate(self.blocks):
-            for v in b:
-                blocks_of[v].append(bid)
-        self.blocks_of = tuple(tuple(bs) for bs in blocks_of)
-        self.cut_vertices = frozenset(
-            v for v in range(graph.n) if len(self.blocks_of[v]) >= 2
-        )
+        blocks = _biconnected_blocks(graph)
+        blocks.sort()
+        self.members = tuple(blocks)
+        self._blocks = self._blocks_of = self._cut_vertices = None
         self._side_cache = {}
         self._index = None
         self._pairs = None
+
+    # --- views built on first read ----------------------------------------
+
+    @property
+    def blocks(self):
+        """Each block's vertex set as a frozenset; position i is block i."""
+        if self._blocks is None:
+            self._blocks = tuple(map(frozenset, self.members))
+        return self._blocks
+
+    @property
+    def blocks_of(self):
+        """Per vertex, the sorted tuple of ids of the blocks holding it."""
+        if self._blocks_of is None:
+            blocks_of = [[] for _ in range(self.graph.n)]
+            for bid, b in enumerate(self.members):
+                for v in b:
+                    blocks_of[v].append(bid)
+            self._blocks_of = tuple(map(tuple, blocks_of))
+        return self._blocks_of
+
+    @property
+    def cut_vertices(self):
+        """The vertices lying in at least two blocks, as a frozenset."""
+        if self._cut_vertices is None:
+            ix = self.index()
+            self._cut_vertices = frozenset(
+                ix.base[qs[0]] for qs in ix.into[len(self.members):]
+            )
+        return self._cut_vertices
 
     # --- block-cut tree queries -------------------------------------------
 
@@ -90,12 +120,13 @@ class BlockDecomposition:
     def pair_id(self, p):
         """Integer id of pair p, its position in pairs()."""
         ix = self.index()
-        x = ix.cut_node.get(p.base)
-        if x is not None:
-            blocks = self.blocks_of[p.base]
-            j = bisect_left(blocks, p.block)
-            if j < len(blocks) and blocks[j] == p.block:
-                return ix.into[x][j] + (0 if p.is_to_vertex else 1)
+        if 0 <= p.base < self.graph.n:
+            x = ix.node_of[p.base]
+            if x >= len(self.members):  # a cut vertex, with ids into[x]
+                lo, hi = ix.into[x][0], ix.into[x][-1] + 2
+                i = bisect_left(ix.block, p.block, lo, hi)
+                if i < hi and ix.block[i] == p.block:
+                    return i + (0 if p.is_to_vertex else 1)
         raise InvalidPairError(f"pair {p} is not valid for this decomposition")
 
     def check_pair(self, p):
@@ -140,7 +171,7 @@ class BlockDecomposition:
                 x = ix.node[q]
                 if not q & 1:  # (B,u) starts from node B, block B itself
                     count += 1
-                    verts |= self.blocks[x]
+                    verts.update(self.members[x])
                 stack += [r for r in ix.into[x] if r != q ^ 1]
             side = self._side_cache[i] = (count, frozenset(verts))
         return side
@@ -170,12 +201,19 @@ class PairIndex:
     TO_VERTEX) and its reverse is p ^ 1.  base[p] and block[p] name it.
 
     Tree nodes are numbered blocks first (node B is block B), then cut
-    vertices in increasing order; cut_node maps a cut vertex to its node.
-    node[p] is the node p's side starts from: B for (B,u), u for (u,B).
-    into[x] lists the pairs whose sides lie beyond x's tree edges: the
-    (v,B) pairs of block B, or the (B,u) pairs of cut vertex u, each in
-    canonical order.  A pair depends on into[node[p]] without p ^ 1, so
-    len(into[B]) is B's cut-vertex count.
+    vertices in increasing order.  node_of[v] is v's node if v is a cut
+    vertex, else the one block holding v.  node[p] is the node p's side
+    starts from: B for (B,u), u for (u,B).  into[x] is the tuple of pairs
+    whose sides lie beyond x's tree edges: the (v,B) pairs of block B, or
+    the (B,u) pairs of cut vertex u, each in canonical order.  A pair
+    depends on into[node[p]] without p ^ 1, so len(into[B]) is B's
+    cut-vertex count.
+
+    Every list and tuple here holds ints only, so the index keeps no
+    container per vertex or per block for the garbage collector to walk.
+    It is built from the member tuples with flat counting arrays: each cut
+    vertex owns one run of pair ids, 2 per block holding it, and a pass
+    over the blocks in id order fills each run in canonical order.
 
     order is one rooted order of each tree of the block-cut forest, rooted
     at its lowest block, in which every pair follows its dependencies.  Its
@@ -190,29 +228,46 @@ class PairIndex:
     totals; in the second half every pair of the list is set.
     """
 
-    __slots__ = ("base", "block", "node", "into", "cut_node", "order")
+    __slots__ = ("base", "block", "node", "into", "node_of", "order")
 
     def __init__(self, bd):
-        base, block, node = [], [], []
-        into = [[] for _ in bd.blocks]
-        cut_node = {}
-        for u, blocks in enumerate(bd.blocks_of):
-            if len(blocks) < 2:
-                continue
-            x = cut_node[u] = len(into)
+        members = bd.members
+        count = [0] * bd.graph.n  # blocks holding each vertex
+        for b in members:
+            for v in b:
+                count[v] += 1
+        node_of = [0] * bd.graph.n
+        start = [0] * bd.graph.n  # next free (B,u) id in cut vertex u's run
+        base, odd_node, runs = [], [], []
+        x = len(members)
+        for u, k in enumerate(count):
+            if k > 1:
+                p = start[u] = len(base)
+                node_of[u] = x
+                runs.append(tuple(range(p, p + 2 * k, 2)))
+                base += [u] * (2 * k)
+                odd_node += [x] * k
+                x += 1
+        block = [0] * len(base)
+        into = []
+        for bid, b in enumerate(members):
             ids = []
-            for b in blocks:
-                p = len(base)
-                ids.append(p)
-                into[b].append(p + 1)
-                base += (u, u)
-                block += (b, b)
-                node += (b, x)
-            into.append(ids)
+            for v in b:
+                if count[v] > 1:
+                    p = start[v]
+                    start[v] = p + 2
+                    block[p] = block[p + 1] = bid
+                    ids.append(p + 1)
+                else:
+                    node_of[v] = bid
+            into.append(tuple(ids))
+        into += runs
+        node = block[:]
+        node[1::2] = odd_node
 
         found = []  # first-half pairs in the order their node is reached
         seen = bytearray(len(into))
-        for root in range(len(bd.blocks)):
+        for root in range(len(members)):
             if seen[root]:
                 continue
             seen[root] = 1
@@ -224,8 +279,8 @@ class PairIndex:
                         seen[child] = 1
                         found.append(q)
                         stack.append(child)
-        self.base, self.block, self.node, self.into = base, block, node, into
-        self.cut_node = cut_node
+        self.base, self.block, self.node = base, block, node
+        self.into, self.node_of = tuple(into), node_of
         self.order = found[::-1] + [q ^ 1 for q in found]
 
 
@@ -248,16 +303,17 @@ class PairTable:
 
 
 def _biconnected_blocks(graph):
-    """Maximal 2-connected vertex sets, as lists, via an iterative
+    """Maximal 2-connected vertex sets, as sorted tuples, via an iterative
     Hopcroft-Tarjan DFS that stacks vertices rather than edges.
 
-    The DFS keeps two stacks: `path`, the tree path from the root with a
-    neighbour iterator per vertex, and `pending`, the discovered vertices
-    not yet placed in a block, in discovery order.  When a child u of
-    `parent` finishes with low[u] >= disc[parent], nothing below u reaches
-    above parent, so the vertices of `pending` from u up form one block
-    with parent.  Isolated vertices become singleton blocks.  Linear in
-    |V|+|E|, with no recursion.
+    The DFS keeps `pending`, the discovered vertices not yet placed in a
+    block, in discovery order, and two parallel stacks for the tree path
+    from the root: a neighbour iterator per vertex, and the vertex's
+    position in `pending`, which holds it until it finishes.  When a child
+    u of `parent` finishes with low[u] >= disc[parent], nothing below u
+    reaches above parent, so the slice of `pending` from u on forms one
+    block with parent.  Isolated vertices become singleton blocks.  Linear
+    in |V|+|E|, with no recursion.
     """
     adjacency = graph.adjacency
     disc = [-1] * graph.n
@@ -268,16 +324,16 @@ def _biconnected_blocks(graph):
         if disc[root] != -1:
             continue
         if not nbrs:
-            blocks.append([root])
+            blocks.append((root,))
             continue
         disc[root] = low[root] = timer
         timer += 1
-        # Two parallel stacks instead of one of (vertex, iterator) tuples:
-        # on a 65,536-vertex path the tuples cost about twice the DFS's own
-        # time in cyclic garbage collection.
-        path, iters, pending = [root], [iter(nbrs)], [root]
+        # Parallel stacks instead of one of (vertex, iterator) tuples: on a
+        # 65,536-vertex path the tuples cost about twice the DFS's own time
+        # in cyclic garbage collection.
+        iters, marks, pending = [iter(nbrs)], [0], [root]
         while iters:
-            u = path[-1]
+            u = pending[marks[-1]]
             low_u = low[u]
             for v in iters[-1]:
                 d = disc[v]
@@ -285,26 +341,29 @@ def _biconnected_blocks(graph):
                     low[u] = low_u
                     disc[v] = low[v] = timer
                     timer += 1
-                    path.append(v)
                     iters.append(iter(adjacency[v]))
+                    marks.append(len(pending))
                     pending.append(v)
                     break
                 if d < low_u:  # back edge, or the edge to u's parent
                     low_u = d
             else:  # u finished
                 low[u] = low_u
-                path.pop()
                 iters.pop()
-                if not path:
+                k = marks.pop()
+                if not marks:
                     continue
-                parent = path[-1]
+                parent = pending[marks[-1]]
                 if low_u >= disc[parent]:
-                    block = [parent]
-                    w = -1
-                    while w != u:
-                        w = pending.pop()
-                        block.append(w)
-                    blocks.append(block)
+                    if k == len(pending) - 1:  # u alone: a K2, as in trees
+                        pending.pop()
+                        blocks.append((parent, u) if parent < u else (u, parent))
+                    else:
+                        block = pending[k:]
+                        del pending[k:]
+                        block.append(parent)
+                        block.sort()
+                        blocks.append(tuple(block))
                 elif low_u < low[parent]:
                     low[parent] = low_u
     return blocks
@@ -321,5 +380,5 @@ def is_block_graph(g):
     |B|(|B|-1)/2 edges, so the blocks' maxima add up to the edge count
     exactly when every block is a clique.
     """
-    blocks = decompose(g).blocks
-    return sum(len(b) * (len(b) - 1) // 2 for b in blocks) == g.m
+    sizes = map(len, decompose(g).members)
+    return sum(k * (k - 1) for k in sizes) // 2 == g.m

@@ -64,8 +64,8 @@ def cmd_potentials(args, out):
     label = component_labels(g, components)
     local = []  # block id within its component
     seen = [0] * len(components)
-    for members in bd.blocks:
-        i = label[next(iter(members))]
+    for members in bd.members:
+        i = label[members[0]]
         local.append(seen[i])
         seen[i] += 1
     lines = [[] for _ in components]

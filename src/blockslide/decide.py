@@ -50,8 +50,10 @@ def rigid_vertices(bd, ua, pot):
     ix = bd.index()
     ua, pot = ua.array, pot.array
     rigid = []
-    for u, x in ix.cut_node.items():
-        sides = ix.into[x]  # the (B,u) pairs of u; q ^ 1 is (u,B)
+    # The cut vertices' nodes follow the blocks', in increasing order of
+    # vertex; into[x] holds the (B,u) pairs of u, and q ^ 1 is (u,B).
+    for sides in ix.into[len(bd.members):]:
+        u = ix.base[sides[0]]
         if sum(1 for q in sides if pot[q] == 0 and ua[q]) < 2:
             continue
         # rigidity forces every outward side of u to ua True / potential 0

@@ -22,9 +22,14 @@ class DepthTable(PairTable):
 
 
 class UaTable(PairTable):
-    """ua(p) for every pair."""
+    """ua(p) for every pair, and per node x the number of ua pairs in
+    into[x], which the capacity pass starts from."""
 
-    __slots__ = ()
+    __slots__ = ("counts",)
+
+    def __init__(self, bd, array, counts):
+        super().__init__(bd, array)
+        self.counts = counts
 
 
 def compute_depths(bd):
@@ -55,7 +60,7 @@ def compute_ua(bd, depths):
     node, into, d = ix.node, ix.into, depths.array
     # per block B, the ua count over kappa(B,u) that makes ua(B,u) false:
     # all of it if B has only cut vertices, else -1, which no count equals
-    full = [len(qs) - 1 if len(qs) == len(b) else -1 for qs, b in zip(into, bd.blocks)]
+    full = [len(qs) - 1 if len(qs) == len(b) else -1 for qs, b in zip(into, bd.members)]
     count = [0] * len(into)  # the ua pairs set in into[x]
     ua = [False] * len(node)
     for p in ix.order:
@@ -69,4 +74,4 @@ def compute_ua(bd, depths):
         if value:
             ua[p] = True
             count[node[r]] += 1
-    return UaTable(bd, ua)
+    return UaTable(bd, ua, count)

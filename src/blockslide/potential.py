@@ -53,12 +53,16 @@ def restrict(bd, c, p):
 
 
 def _constants(bd, ua, vertices):
-    """Per pair id: ua(p), minus for (B,u) the tokens of B other than u."""
+    """Per pair id: ua(p), minus for (B,u) the tokens of B other than u.
+    ua is the UaTable of bd."""
     ix = bd.index()
-    into, base = ix.into, ix.base
-    const = list(map(int, ua))
+    into, base, node, node_of = ix.into, ix.base, ix.node, ix.node_of
+    nblocks = len(bd.members)
+    const = list(map(int, ua.array))
     for v in vertices:
-        for b in bd.blocks_of[v]:
+        x = node_of[v]
+        blocks = (x,) if x < nblocks else map(node.__getitem__, into[x])
+        for b in blocks:
             for q in into[b]:  # the (u,B) pairs of B; q ^ 1 is (B,u)
                 if base[q] != v:
                     const[q ^ 1] -= 1
@@ -69,12 +73,14 @@ def _capacities(bd, ua, const):
     """cap(C[p]) for every pair id, from the constants of token set C, and
     the running totals per node x over into[x]: for a block, the sum of cap;
     for a cut vertex, the sum of cap - ua, and the count of pairs with
-    cap = 0 and ua, which blocks its (u,B) pairs at two.  Unset caps are 0."""
+    cap = 0 and ua, which blocks its (u,B) pairs at two.  Unset caps are 0,
+    so a cut vertex starts from its ua count, which compute_ua ends with."""
     ix = bd.index()
     node, into = ix.node, ix.into
-    nblocks = len(bd.blocks)
-    zeros = [0] * nblocks + [sum(map(ua.__getitem__, qs)) for qs in into[nblocks:]]
+    nblocks = len(bd.members)
+    zeros = [0] * nblocks + ua.counts[nblocks:]
     total = [-z for z in zeros]
+    ua = ua.array
     cap = [0] * len(node)
     for p in ix.order:
         x, r = node[p], p ^ 1
@@ -98,14 +104,14 @@ def _capacities(bd, ua, const):
 def capacity_table(bd, ua, c):
     """Capacity of C[p] for every pair p, as a dict, for the token set C:
     a TokenSet or any iterable of distinct vertices."""
-    const = _constants(bd, ua.array, c)
-    return dict(zip(bd.pairs(), _capacities(bd, ua.array, const)[0]))
+    const = _constants(bd, ua, c)
+    return dict(zip(bd.pairs(), _capacities(bd, ua, const)[0]))
 
 
 def capacity(bd, ua, c, p):
     """cap(C[p]) for the restriction of token set c to pair p."""
     i = bd.pair_id(p)
-    return _capacities(bd, ua.array, _constants(bd, ua.array, c.vertices))[0][i]
+    return _capacities(bd, ua, _constants(bd, ua, c.vertices))[0][i]
 
 
 class PotentialTable(PairTable):
@@ -124,9 +130,9 @@ def compute_potentials(bd, ua, c):
     across components."""
     ix = bd.index()
     node, into = ix.node, ix.into
-    ua = ua.array
     const = _constants(bd, ua, c.vertices)
     y, total, zeros = _capacities(bd, ua, const)  # kept running as y grows
+    ua = ua.array
 
     # Seeded in the rooted order, most pairs are first evaluated after their
     # dependencies.  On random block graphs of 2,000-4,000 blocks that took

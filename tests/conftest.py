@@ -9,6 +9,7 @@ what most of the suite checks.
 import pytest
 
 from blockslide import (
+    GenParams,
     Graph,
     Instance,
     TokenSet,
@@ -16,6 +17,7 @@ from blockslide import (
     TO_VERTEX,
     Pair,
     decompose,
+    gen_block_graph,
 )
 from blockslide.fuzz import FuzzEnvelope, gen_fuzz_instance
 
@@ -58,6 +60,33 @@ def chain_k2():
     g = Graph(10, CHAIN_EDGES)
     tokens = TokenSet(g, [CHAIN_NAMES[s] for s in ("u1", "w1", "u2", "w2")])
     return g, tokens
+
+
+def _caterpillar(n):
+    spine = n // 2
+    edges = [(i, i + 1) for i in range(spine - 1)]
+    edges += [(i, spine + i) for i in range(n - spine)]
+    return Graph(n, edges)
+
+
+def _k4_chain(n):
+    links = (n - 1) // 3
+    edges = []
+    for k in range(links):
+        vs = range(3 * k, 3 * k + 4)
+        edges += [(a, b) for a in vs for b in vs if a < b]
+    return Graph(3 * links + 1, edges)
+
+
+# The five shapes of the benchmark's ladder, by vertex count.  The star is
+# the case a per-node sum serves worst: its centre's list holds every block.
+LADDER = {
+    "path": lambda n: Graph(n, [(i, i + 1) for i in range(n - 1)]),
+    "caterpillar": _caterpillar,
+    "star": lambda n: Graph(n, [(0, i) for i in range(1, n)]),
+    "k4_chain": _k4_chain,
+    "random_blocks": lambda n: gen_block_graph(GenParams(3, n // 2, 5)),
+}
 
 
 def fuzz_corpus(count, seed=0, env=FuzzEnvelope()):

@@ -34,7 +34,6 @@ from .graph import (
     TokenSet,
     connected_components,
     is_independent,
-    is_under_attack,
 )
 from .instance import Instance, parse_instance, render_instance
 from .invariants import DepthTable, UaTable, compute_depths, compute_ua
@@ -75,7 +74,6 @@ __all__ = [
     "GenParams", "SplitMix64", "gen_block_graph", "gen_independent_set",
     # graph
     "Graph", "TokenSet", "connected_components", "is_independent",
-    "is_under_attack",
     # instance
     "Instance", "parse_instance", "render_instance",
     # invariants

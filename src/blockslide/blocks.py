@@ -47,7 +47,9 @@ class BlockDecomposition:
     """Result of the articulation-point DFS over a Graph.
 
     members is the one table a decomposition keeps: per block id, the
-    block's sorted vertex tuple.  blocks (a frozenset per block), blocks_of
+    block's sorted vertex tuple.  The graph keeps the same tuple, built by
+    its first decomposition, so the DFS runs once per graph however often
+    it is decomposed.  blocks (a frozenset per block), blocks_of
     (the sorted block ids of each vertex) and cut_vertices are views built
     from it on first read, like Graph.edges; decide reads none of them.
     A tuple of ints is no container that CPython's cyclic garbage
@@ -60,9 +62,12 @@ class BlockDecomposition:
 
     def __init__(self, graph):
         self.graph = graph
-        blocks = _biconnected_blocks(graph)
-        blocks.sort()
-        self.members = tuple(blocks)
+        members = graph._blocks
+        if members is None:
+            blocks = _biconnected_blocks(graph)
+            blocks.sort()
+            members = graph._blocks = tuple(blocks)
+        self.members = members
         self._blocks = self._blocks_of = self._cut_vertices = None
         self._side_cache = {}
         self._index = None
@@ -105,6 +110,21 @@ class BlockDecomposition:
         if self._index is None:
             self._index = PairIndex(self)
         return self._index
+
+    def components(self, holding=None):
+        """The vertex set of each tree of the block-cut forest: the
+        connected components of the graph, in order of least vertex.  Given
+        holding, one count per tree, a tree whose count is 0 gets None."""
+        ix = self.index()
+        if holding is None:
+            parts = [[] for _ in range(ix.trees)]
+        else:
+            parts = [[] if k else None for k in holding]
+        for b, i in zip(self.members, ix.tree):
+            part = parts[i]
+            if part is not None:
+                part += b
+        return [None if part is None else frozenset(part) for part in parts]
 
     def pairs(self):
         """Both orientations of every tree edge, in canonical order: by
@@ -215,6 +235,13 @@ class PairIndex:
     vertex owns one run of pair ids, 2 per block holding it, and a pass
     over the blocks in id order fills each run in canonical order.
 
+    tree[x] is the index of node x's tree in the block-cut forest, and
+    trees their number.  The trees are numbered in the order of their
+    lowest blocks, and the block holding a component's least vertex sorts
+    first among its blocks and before the blocks of every component with a
+    larger least vertex; so tree i spans the i-th connected component in
+    order of least vertex, and tree[node_of[v]] is v's component.
+
     order is one rooted order of each tree of the block-cut forest, rooted
     at its lowest block, in which every pair follows its dependencies.  Its
     first half holds the pairs whose side is the subtree below a tree edge,
@@ -228,7 +255,7 @@ class PairIndex:
     totals; in the second half every pair of the list is set.
     """
 
-    __slots__ = ("base", "block", "node", "into", "node_of", "order")
+    __slots__ = ("base", "block", "node", "into", "node_of", "tree", "trees", "order")
 
     def __init__(self, bd):
         members = bd.members
@@ -266,21 +293,24 @@ class PairIndex:
         node[1::2] = odd_node
 
         found = []  # first-half pairs in the order their node is reached
-        seen = bytearray(len(into))
+        tree = [-1] * len(into)
+        trees = 0
         for root in range(len(members)):
-            if seen[root]:
+            if tree[root] >= 0:
                 continue
-            seen[root] = 1
+            tree[root] = trees
             stack = [root]
             while stack:
                 for q in into[stack.pop()]:
                     child = node[q]
-                    if not seen[child]:
-                        seen[child] = 1
+                    if tree[child] < 0:
+                        tree[child] = trees
                         found.append(q)
                         stack.append(child)
+            trees += 1
         self.base, self.block, self.node = base, block, node
         self.into, self.node_of = tuple(into), node_of
+        self.tree, self.trees = tree, trees
         self.order = found[::-1] + [q ^ 1 for q in found]
 
 

@@ -15,7 +15,6 @@ from .decide import decide
 from .errors import BlockslideError, InternalError, NotABlockGraphError
 from .fuzz import FuzzEnvelope, run_fuzz
 from .gen import GenParams, SplitMix64, gen_block_graph, gen_token_sets
-from .graph import component_labels, connected_components
 from .instance import Instance, parse_instance, render_instance
 from .invariants import compute_depths, compute_ua
 from .oracle import NO, UNKNOWN, YES, OracleLimits, oracle_reachable
@@ -46,7 +45,8 @@ def cmd_potentials(args, out):
     "# component i" when there are several.
 
     One decomposition serves every component, since no equation reaches
-    across components.  A component's lines keep the global pair order, and
+    across components; the components are the trees of its block-cut
+    forest.  A component's lines keep the global pair order, and
     its block ids are the ranks of its blocks' global ids: relabelling a
     component's vertices in order keeps the canonical order of its blocks.
     """
@@ -60,21 +60,20 @@ def cmd_potentials(args, out):
     ua = compute_ua(bd, depths)
     pot = compute_potentials(bd, ua, tokens)
 
-    components = connected_components(g)
-    label = component_labels(g, components)
+    ix = bd.index()
+    tree = ix.tree[:len(bd.members)]  # per block, its component's index
     local = []  # block id within its component
-    seen = [0] * len(components)
-    for members in bd.members:
-        i = label[members[0]]
+    seen = [0] * ix.trees
+    for i in tree:
         local.append(seen[i])
         seen[i] += 1
-    lines = [[] for _ in components]
+    lines = [[] for _ in seen]
     for p, x, a, d in zip(bd.pairs(), pot.array, ua.array, depths.array):
         b, u = local[p.block], p.base + 1
         arrow = f"B{b}->{u}" if p.is_to_vertex else f"{u}->B{b}"
-        lines[label[p.base]].append(f"pot {arrow} = {x} ua={int(a)} d={d}")
+        lines[tree[p.block]].append(f"pot {arrow} = {x} ua={int(a)} d={d}")
     for idx, rows in enumerate(lines):
-        if len(components) > 1:
+        if ix.trees > 1:
             print(f"# component {idx}", file=out)
         for row in rows:
             print(row, file=out)
@@ -90,7 +89,7 @@ def cmd_oracle(args, out):
 
 
 def cmd_gen(args, out):
-    g = gen_block_graph(GenParams(args.seed, args.blocks, args.max_clique))
+    g = gen_block_graph(GenParams(args.seed, args.blocks, args.max_clique, args.tokens))
     rng = SplitMix64(args.seed ^ 0xD1B54A32D192ED03)
     seed_src = rng.next_u64()
     seed_tgt = rng.next_u64()

@@ -46,36 +46,37 @@ class Verdict:
 
 
 def rigid_vertices(bd, ua, pot):
-    """Cut vertices with two incident (B,u) sides at potential 0, ua True."""
+    """Cut vertices with two incident (B,u) sides at potential 0, ua True:
+    the nodes x whose count pot.zeros[x] of such sides the fixed point ends
+    with at two or more, which only cut vertices' nodes reach."""
     ix = bd.index()
-    ua, pot = ua.array, pot.array
+    ua, y = ua.array, pot.array
     rigid = []
-    # The cut vertices' nodes follow the blocks', in increasing order of
-    # vertex; into[x] holds the (B,u) pairs of u, and q ^ 1 is (u,B).
-    for sides in ix.into[len(bd.members):]:
-        u = ix.base[sides[0]]
-        if sum(1 for q in sides if pot[q] == 0 and ua[q]) < 2:
+    for x, zeros in enumerate(pot.zeros):
+        if zeros < 2:
             continue
-        # rigidity forces every outward side of u to ua True / potential 0
-        if not all(ua[q ^ 1] and pot[q ^ 1] == 0 for q in sides):
+        # into[x] holds the (B,u) pairs of u, and q ^ 1 is (u,B); rigidity
+        # forces every outward side of u to ua True / potential 0
+        sides = ix.into[x]
+        u = ix.base[sides[0]]
+        if not all(ua[q ^ 1] and y[q ^ 1] == 0 for q in sides):
             raise InternalError(f"rigid vertex {u} violates ua/pot")
         rigid.append(u)
     return frozenset(rigid)
 
 
-def _token_counts(g, components, c1, c2):
-    """(component, tokens of c1 in it, tokens of c2 in it) per component,
-    and the index of every vertex's component, len(components) for the
-    vertices outside all of them."""
-    k = len(components)
-    label = component_labels(g, components)
-    n1 = [0] * (k + 1)
-    n2 = [0] * (k + 1)
+def _parts_after(g, without, c1, c2):
+    """(part, tokens of c1 in it, tokens of c2 in it) per component of g
+    minus `without`, in order of least vertex."""
+    parts = connected_components(g, without)
+    label = component_labels(g, parts)
+    n1 = [0] * (len(parts) + 1)
+    n2 = [0] * (len(parts) + 1)
     for v in c1:
         n1[label[v]] += 1
     for v in c2:
         n2[label[v]] += 1
-    return list(zip(components, n1, n2)), label  # zip drops index k
+    return zip(parts, n1, n2)  # zip drops the index of `without`
 
 
 def decide_connected(g, bd, c1, c2):
@@ -84,43 +85,49 @@ def decide_connected(g, bd, c1, c2):
 
     A component's verdict never depends on another component, so depth,
     ua, potentials and rigid sets are each taken once over the whole
-    block-cut forest.  The verdict is UNEQUAL_SIZE with details
-    "per_component" when some component holds more tokens of one set.
-    Otherwise details["components"] lists (vertex set, Verdict) for each
-    component with tokens, in order of least vertex, up to the first that
-    is not reachable; each such Verdict has the component's rigid sets and,
-    when they agree, the token counts of each component left after
-    removing them.
+    block-cut forest, and the components are its trees.  The verdict is
+    UNEQUAL_SIZE with details "per_component" when some component holds
+    more tokens of one set.  Otherwise details["components"] lists
+    (vertex set, Verdict) for each component with tokens, in order of
+    least vertex, up to the first that is not reachable; each such Verdict
+    has the component's rigid sets and, when they agree, the token counts
+    of each component left after removing them.
     """
     if len(c1) != len(c2):
         raise ValueError("decide_connected requires equal-size token sets")
-    components = connected_components(g)
-    counts, label = _token_counts(g, components, c1, c2)
-    if any(n1 != n2 for _, n1, n2 in counts):
+    ix = bd.index()
+    tree, node_of = ix.tree, ix.node_of
+    n1 = [0] * ix.trees
+    n2 = [0] * ix.trees
+    for v in c1:
+        n1[tree[node_of[v]]] += 1
+    for v in c2:
+        n2[tree[node_of[v]]] += 1
+    if n1 != n2:
+        counts = list(zip(bd.components(), n1, n2))
         return Verdict(False, Reason.UNEQUAL_SIZE, {"per_component": counts})
     depths = compute_depths(bd)
     ua = compute_ua(bd, depths)
     w1 = rigid_vertices(bd, ua, compute_potentials(bd, ua, c1))
     w2 = rigid_vertices(bd, ua, compute_potentials(bd, ua, c2))
     # The components left after removing w1 & w2, grouped by the component
-    # of g holding them; where w1 and w2 differ no count is read.
+    # of g holding them; where w1 and w2 differ no count is read.  With
+    # nothing removed, each component is its own one part.
     rigid = w1 & w2
     if rigid:
-        remaining = [[] for _ in components]
-        after, _ = _token_counts(g, connected_components(g, without=rigid), c1, c2)
-        for part in after:
-            remaining[label[min(part[0])]].append(part)
-    else:  # nothing removed: each component is its own one part
-        remaining = [[part] for part in counts]
+        remaining = [[] for _ in n1]
+        for part in _parts_after(g, rigid, c1, c2):
+            remaining[tree[node_of[min(part[0])]]].append(part)
 
     details = {"components": []}
-    for (comp, n1, _), parts in zip(counts, remaining):
-        if n1 == 0:
+    for i, comp in enumerate(bd.components(n1)):
+        if comp is None:  # no tokens
             continue
         sub = {"rigid_source": w1 & comp, "rigid_target": w2 & comp}
         if sub["rigid_source"] != sub["rigid_target"]:
             reason = Reason.RIGID_MISMATCH
         else:
+            parts = remaining[i] if rigid else [(comp, n1[i], n2[i])]
             sub["component_counts"] = parts
             if any(a != b for _, a, b in parts):
                 reason = Reason.COMPONENT_COUNT_MISMATCH

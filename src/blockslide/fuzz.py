@@ -11,6 +11,7 @@ from dataclasses import dataclass
 
 from .blocks import TO_BLOCK, TO_VERTEX, Pair, decompose
 from .decide import decide, rigid_vertices
+from .errors import InvalidParamsError
 from .gen import GenParams, SplitMix64, gen_block_graph, gen_token_sets
 from .instance import Instance
 from .invariants import compute_depths, compute_ua
@@ -31,6 +32,14 @@ class FuzzEnvelope:
     max_clique: int = 4
     max_tokens: int = 4
     max_vertices: int | None = 12
+
+    def __post_init__(self):
+        if self.max_blocks < 1:
+            raise InvalidParamsError("max_blocks must be positive")
+        if self.max_clique < 2:
+            raise InvalidParamsError("max_clique must be at least 2")
+        if self.max_tokens < 0:
+            raise InvalidParamsError("max_tokens must be nonnegative")
 
 
 def gen_fuzz_instance(seed, env=FuzzEnvelope()):
@@ -199,6 +208,8 @@ def run_fuzz(count, env=FuzzEnvelope(), seed=0, lim=OracleLimits(), on_failure=N
 
     Returns (instances_run, failing_instance_or_None, failures).
     """
+    if count < 0:
+        raise InvalidParamsError("count must be nonnegative")
     for i in range(count):
         inst = gen_fuzz_instance(seed + i, env)
         failures = check_instance(inst, lim)

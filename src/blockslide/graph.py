@@ -7,8 +7,6 @@ TokenSet are immutable after construction and safe to share.
 
 from __future__ import annotations
 
-from bisect import bisect_left
-
 from .errors import (
     DuplicateEdgeError,
     NotIndependentError,
@@ -22,9 +20,12 @@ class Graph:
 
     adjacency[u] is the sorted tuple of u's neighbours and m the edge
     count; the edge set is derived from adjacency only when read.
+    _blocks holds the canonically sorted member tuples of the blocks, which
+    blockslide.blocks builds on the first decomposition and every later one
+    reads: int tuples only, so the cache refers back to nothing.
     """
 
-    __slots__ = ("n", "m", "adjacency", "_edges")
+    __slots__ = ("n", "m", "adjacency", "_edges", "_blocks")
 
     def __init__(self, n, edge_list):
         if n < 0:
@@ -47,7 +48,7 @@ class Graph:
             adjacency[v].append(u)
         self.m = len(seen)
         self.adjacency = tuple(tuple(sorted(nbrs)) for nbrs in adjacency)
-        self._edges = None
+        self._edges = self._blocks = None
 
     @property
     def edges(self):
@@ -57,21 +58,6 @@ class Graph:
                 (u, v) for u, nbrs in enumerate(self.adjacency) for v in nbrs if u < v
             )
         return self._edges
-
-    def neighbors(self, u):
-        self._check_vertex(u)
-        return self.adjacency[u]
-
-    def degree(self, u):
-        self._check_vertex(u)
-        return len(self.adjacency[u])
-
-    def has_edge(self, u, v):
-        self._check_vertex(u)
-        self._check_vertex(v)
-        nbrs = self.adjacency[u]
-        i = bisect_left(nbrs, v)
-        return i < len(nbrs) and nbrs[i] == v
 
     def _check_vertex(self, u):
         if not (0 <= u < self.n):
@@ -156,13 +142,6 @@ def is_independent(g, s):
         g._check_vertex(v)
         members.add(v)
     return all(members.isdisjoint(g.adjacency[v]) for v in members)
-
-
-def is_under_attack(g, c, v):
-    """True iff some neighbour of v carries a token.  A vertex carrying a
-    token itself is never under attack (its neighbourhood is token-free)."""
-    g._check_vertex(v)
-    return not c._members.isdisjoint(g.adjacency[v])
 
 
 def connected_components(g, without=()):

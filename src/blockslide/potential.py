@@ -115,13 +115,17 @@ def capacity(bd, ua, c, p):
 
 
 class PotentialTable(PairTable):
-    """Potentials for every pair, plus the fixed point's iteration_count."""
+    """Potentials for every pair, plus the fixed point's iteration_count
+    and, per node x, zeros[x]: the number of pairs in into[x] at potential
+    0 with ua, the count that freezes a cut vertex's (u,B) pairs at two and
+    makes it rigid (always 0 for a block)."""
 
-    __slots__ = ("iteration_count",)
+    __slots__ = ("iteration_count", "zeros")
 
-    def __init__(self, bd, array, iteration_count):
+    def __init__(self, bd, array, iteration_count, zeros):
         super().__init__(bd, array)
         self.iteration_count = iteration_count
+        self.zeros = zeros
 
 
 def compute_potentials(bd, ua, c):
@@ -164,4 +168,4 @@ def compute_potentials(bd, ua, c):
             if not queued[q]:
                 queued[q] = 1
                 pending.append(q)
-    return PotentialTable(bd, y, increases + 1)
+    return PotentialTable(bd, y, increases + 1, zeros)

@@ -106,6 +106,18 @@ def disjoint_union(instances):
     return Instance(g, TokenSet(g, source), TokenSet(g, target))
 
 
+def shuffled(inst, rng):
+    """inst with its vertex ids permuted by rng, so components interleave."""
+    perm = list(range(inst.graph.n))
+    rng.shuffle(perm)
+    g = Graph(inst.graph.n, [(perm[u], perm[v]) for u, v in inst.graph.edges])
+    return Instance(
+        g,
+        TokenSet(g, [perm[v] for v in inst.source]),
+        TokenSet(g, [perm[v] for v in inst.target]),
+    )
+
+
 def union_corpus(count, seed=0):
     """Unions of two small fuzz instances, which the oracle still searches
     quickly."""
@@ -114,6 +126,14 @@ def union_corpus(count, seed=0):
         disjoint_union([gen_fuzz_instance(seed + 2 * i + j, env) for j in (0, 1)])
         for i in range(count)
     ]
+
+
+def shuffled_unions(rng):
+    """60 unions of two small fuzz instances and 30 of six fuzz-sized ones,
+    each with its vertex ids permuted by rng."""
+    unions = union_corpus(60)
+    unions += [disjoint_union(fuzz_corpus(6, seed=7000 + 6 * i)) for i in range(30)]
+    return [shuffled(inst, rng) for inst in unions]
 
 
 # --- definitional recomputations ------------------------------------------

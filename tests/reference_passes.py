@@ -6,8 +6,9 @@ every node, sums the node's whole into[x] list again: the two largest
 depths, the count of ua pairs, or the sum of cap (of cap - ua and the count
 of pairs with cap = 0 and ua at a cut vertex).  reference_totals takes the
 same sums once per node over the finished capacities, as the fixed point's
-start did.  The running-total passes of blockslide must return the same
-lists.
+start did.  reference_rigid counts each cut vertex's zero sides again over
+its list, where rigid_vertices reads the fixed point's running counts.  The
+running-total passes of blockslide must return the same lists and sets.
 """
 
 from blockslide import InternalError
@@ -97,3 +98,20 @@ def reference_totals(bd, ua, y):
     zeros = [0] * nblocks
     zeros += [sum([1 for q in qs if y[q] == 0 and ua[q]]) for qs in into[nblocks:]]
     return total, zeros
+
+
+def reference_rigid(bd, ua, pot):
+    """Cut vertices with two (B,u) sides at potential 0 and ua, counted
+    again at every cut vertex over its into[x] list, from the ua and
+    potential lists."""
+    ix = bd.index()
+    rigid = []
+    for sides in ix.into[len(bd.blocks):]:
+        if sum(1 for q in sides if pot[q] == 0 and ua[q]) < 2:
+            continue
+        u = ix.base[sides[0]]
+        # rigidity forces every outward side of u to ua True / potential 0
+        if not all(ua[q ^ 1] and pot[q ^ 1] == 0 for q in sides):
+            raise InternalError(f"rigid vertex {u} violates ua/pot")
+        rigid.append(u)
+    return frozenset(rigid)

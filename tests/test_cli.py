@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from blockslide import Graph, Reason, Verdict
+from blockslide import Graph, InvalidParamsError, Reason, Verdict
 import blockslide.fuzz as fuzz_mod
 from blockslide.cli import main
 
@@ -229,6 +229,36 @@ def test_fuzz_detects_corrupted_solver(tmp_path, monkeypatch):
     dumps = list(tmp_path.glob("fuzz-failure-seed*.ts"))
     assert len(dumps) == 1
     assert dumps[0].read_text().startswith("# fuzz seed")
+
+
+def test_fuzz_negative_max_tokens_exit_2(tmp_path, monkeypatch, capsys):
+    """A bad envelope is an input error (exit 2), never reported with the
+    exit code of a fuzz failure, and no instance is generated or dumped."""
+    monkeypatch.chdir(tmp_path)
+    assert run(["fuzz", "--count", "2", "--max-tokens", "-1"]) == (2, "")
+    assert "max_tokens must be nonnegative" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
+def test_fuzz_negative_count_exit_2(capsys):
+    """A negative count is an input error, not a clean run of no seeds."""
+    assert run(["fuzz", "--count", "-5"]) == (2, "")
+    assert "count must be nonnegative" in capsys.readouterr().err
+
+
+def test_gen_negative_tokens_exit_2(capsys):
+    """A negative token count is an input error, not an instance with empty
+    token sets."""
+    assert run(["gen", "--tokens", "-1"]) == (2, "")
+    assert "token_count must be nonnegative" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("field, value", [
+    ("max_blocks", 0), ("max_clique", 1), ("max_tokens", -1),
+])
+def test_fuzz_envelope_rejects_bad_bounds(field, value):
+    with pytest.raises(InvalidParamsError):
+        fuzz_mod.FuzzEnvelope(**{field: value})
 
 
 def test_requires_subcommand():

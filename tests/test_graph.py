@@ -14,7 +14,6 @@ from blockslide import (
     VertexOutOfRangeError,
     connected_components,
     is_independent,
-    is_under_attack,
 )
 from blockslide.oracle import mask_of
 from conftest import fuzz_corpus
@@ -23,10 +22,8 @@ from reference_instance import reference_graph
 
 def test_basic_adjacency(path3):
     assert path3.n == 3
-    assert path3.neighbors(1) == (0, 2)
-    assert path3.degree(1) == 2
-    assert path3.has_edge(0, 1) and path3.has_edge(1, 0)
-    assert not path3.has_edge(0, 2)
+    assert path3.adjacency == ((1,), (0, 2), (1,))
+    assert path3.m == 2
 
 
 def test_edge_normalisation():
@@ -49,7 +46,7 @@ def test_graph_matches_tuple_keyed_reference():
         assert g.adjacency == ref.adjacency
         assert g.edges == ref.edges == {(min(e), max(e)) for e in edge_list}
         assert g == inst.graph and hash(g) == hash(inst.graph)
-        assert all(g.has_edge(u, v) and g.has_edge(v, u) for u, v in edge_list)
+        assert all(v in g.adjacency[u] and u in g.adjacency[v] for u, v in edge_list)
     assert Graph(3, [(0, 1)]) != Graph(3, [(1, 2)])
     assert Graph(3, [(0, 1)]) != Graph(4, [(0, 1)])
 
@@ -114,14 +111,6 @@ def test_is_independent(path3):
     assert is_independent(path3, [0, 2])
     assert not is_independent(path3, [1, 2])
     assert is_independent(path3, [])
-
-
-def test_is_under_attack(path3):
-    c = TokenSet(path3, [0])
-    assert is_under_attack(path3, c, 1)
-    assert not is_under_attack(path3, c, 2)
-    # a vertex holding a token is not itself under attack
-    assert not is_under_attack(path3, c, 0)
 
 
 def test_connected_components_ordering():

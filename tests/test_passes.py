@@ -17,16 +17,14 @@ import pytest
 import blockslide
 import blockslide.potential as potential
 from blockslide import (
-    Graph,
     Instance,
-    TokenSet,
     compute_depths,
     compute_potentials,
     compute_ua,
     decompose,
 )
 from blockslide.gen import gen_token_sets
-from conftest import LADDER, disjoint_union, fuzz_corpus, union_corpus
+from conftest import LADDER, fuzz_corpus, shuffled_unions, union_corpus
 from reference_passes import (
     reference_capacities,
     reference_depths,
@@ -67,24 +65,9 @@ def test_passes_match_reference_on_fuzz_seeds(start):
         check_against_reference(inst)
 
 
-def _shuffled(inst, rng):
-    """inst with its vertex ids permuted, so components interleave."""
-    perm = list(range(inst.graph.n))
-    rng.shuffle(perm)
-    g = Graph(inst.graph.n, [(perm[u], perm[v]) for u, v in inst.graph.edges])
-    return Instance(
-        g,
-        TokenSet(g, [perm[v] for v in inst.source]),
-        TokenSet(g, [perm[v] for v in inst.target]),
-    )
-
-
 def test_passes_match_reference_on_shuffled_unions():
-    rng = random.Random("passes")
-    unions = union_corpus(60)
-    unions += [disjoint_union(fuzz_corpus(6, seed=7000 + 6 * i)) for i in range(30)]
-    for inst in unions:
-        check_against_reference(_shuffled(inst, rng))
+    for inst in shuffled_unions(random.Random("passes")):
+        check_against_reference(inst)
 
 
 @pytest.mark.parametrize("shape", sorted(LADDER))

@@ -15,12 +15,7 @@ from enum import Enum
 
 from .blocks import decompose, is_block_graph
 from .errors import InternalError, NotABlockGraphError, NotIndependentError
-from .graph import (
-    TokenSet,
-    component_labels,
-    connected_components,
-    is_independent,
-)
+from .graph import TokenSet, connected_components, is_independent
 from .invariants import compute_depths, compute_ua
 from .potential import compute_potentials
 
@@ -65,18 +60,14 @@ def rigid_vertices(bd, ua, pot):
     return frozenset(rigid)
 
 
-def _parts_after(g, without, c1, c2):
-    """(part, tokens of c1 in it, tokens of c2 in it) per component of g
-    minus `without`, in order of least vertex."""
-    parts = connected_components(g, without)
-    label = component_labels(g, parts)
-    n1 = [0] * (len(parts) + 1)
-    n2 = [0] * (len(parts) + 1)
-    for v in c1:
-        n1[label[v]] += 1
-    for v in c2:
-        n2[label[v]] += 1
-    return zip(parts, n1, n2)  # zip drops the index of `without`
+def _parts_after(g, comp, rigid, c1, c2):
+    """(part, tokens of c1 in it, tokens of c2 in it) per component of the
+    component comp of g minus its rigid vertices, in order of least
+    vertex; the search stays inside comp."""
+    return [
+        (part, sum(map(c1.__contains__, part)), sum(map(c2.__contains__, part)))
+        for part in connected_components(g, rigid, within=comp)
+    ]
 
 
 def decide_connected(g, bd, c1, c2):
@@ -110,24 +101,21 @@ def decide_connected(g, bd, c1, c2):
     ua = compute_ua(bd, depths)
     w1 = rigid_vertices(bd, ua, compute_potentials(bd, ua, c1))
     w2 = rigid_vertices(bd, ua, compute_potentials(bd, ua, c2))
-    # The components left after removing w1 & w2, grouped by the component
-    # of g holding them; where w1 and w2 differ no count is read.  With
-    # nothing removed, each component is its own one part.
-    rigid = w1 & w2
-    if rigid:
-        remaining = [[] for _ in n1]
-        for part in _parts_after(g, rigid, c1, c2):
-            remaining[tree[node_of[min(part[0])]]].append(part)
-
     details = {"components": []}
     for i, comp in enumerate(bd.components(n1)):
         if comp is None:  # no tokens
             continue
-        sub = {"rigid_source": w1 & comp, "rigid_target": w2 & comp}
-        if sub["rigid_source"] != sub["rigid_target"]:
+        rigid = w1 & comp
+        sub = {"rigid_source": rigid, "rigid_target": w2 & comp}
+        if rigid != sub["rigid_target"]:
             reason = Reason.RIGID_MISMATCH
         else:
-            parts = remaining[i] if rigid else [(comp, n1[i], n2[i])]
+            # Only a component holding a rigid vertex splits; any other is
+            # its own one part.
+            if rigid:
+                parts = _parts_after(g, comp, rigid, c1, c2)
+            else:
+                parts = [(comp, n1[i], n2[i])]
             sub["component_counts"] = parts
             if any(a != b for _, a, b in parts):
                 reason = Reason.COMPONENT_COUNT_MISMATCH

@@ -13,6 +13,7 @@ from .errors import InvalidParamsError
 from .graph import Graph, TokenSet
 
 _MASK64 = (1 << 64) - 1
+_RESTARTS = 16  # shuffled packings tried per seed
 
 
 class SplitMix64:
@@ -89,14 +90,11 @@ def gen_block_graph(params):
     return Graph(n, edges)
 
 
-def gen_independent_set(seed, g, size, restarts=16):
-    """Shuffled greedy packing of `size` non-adjacent vertices.
-
-    Not uniform over independent sets; returns None when packing keeps
-    failing (e.g. size above the independence number).
-    """
-    if size == 0:
-        return TokenSet(g, [])
+def _packings(seed, g, restarts):
+    """The maximal greedy packing of each restart, in restart order: the
+    vertices of a shuffled order, each kept unless it neighbours a vertex
+    kept before it.  The shuffles depend on the seed alone, and the first
+    k vertices of a packing are what packing k vertices keeps."""
     rng = SplitMix64(seed)
     for _ in range(restarts):
         order = list(range(g.n))
@@ -110,19 +108,36 @@ def gen_independent_set(seed, g, size, restarts=16):
             blocked[v] = 1
             for w in g.adjacency[v]:
                 blocked[w] = 1
-            if len(chosen) == size:
-                return TokenSet(g, chosen)
+        yield chosen
+
+
+def gen_independent_set(seed, g, size, restarts=_RESTARTS):
+    """Shuffled greedy packing of `size` non-adjacent vertices.
+
+    Not uniform over independent sets; returns None when packing keeps
+    failing (e.g. size above the independence number).
+    """
+    if size == 0:
+        return TokenSet(g, [])
+    for chosen in _packings(seed, g, restarts):
+        if len(chosen) >= size:
+            return TokenSet(g, chosen[:size])
     return None
 
 
 def gen_token_sets(g, k, seed_src, seed_tgt):
     """Source and target sets of the largest size at most k for which
-    gen_independent_set packs both, or two empty sets."""
-    while k > 0:
-        src = gen_independent_set(seed_src, g, k)
-        tgt = gen_independent_set(seed_tgt, g, k)
-        if src is not None and tgt is not None:
-            return src, tgt
-        k -= 1
-    empty = TokenSet(g, [])
-    return empty, empty
+    gen_independent_set packs both, or two empty sets.
+
+    That size is k capped by the largest packing of either seed, so each
+    seed's restarts are packed once, whatever k is.
+    """
+    src = list(_packings(seed_src, g, _RESTARTS))
+    tgt = list(_packings(seed_tgt, g, _RESTARTS))
+    k = min(k, max(map(len, src)), max(map(len, tgt)))
+    if k <= 0:
+        empty = TokenSet(g, [])
+        return empty, empty
+    return tuple(
+        TokenSet(g, next(p for p in packs if len(p) >= k)[:k]) for packs in (src, tgt)
+    )

@@ -7,12 +7,19 @@ TokenSet are immutable after construction and safe to share.
 
 from __future__ import annotations
 
+from collections import defaultdict
+from operator import itemgetter
+
 from .errors import (
     DuplicateEdgeError,
+    InternalError,
     NotIndependentError,
     SelfLoopError,
     VertexOutOfRangeError,
 )
+
+
+_first = itemgetter(0)
 
 
 class Graph:
@@ -30,24 +37,40 @@ class Graph:
     def __init__(self, n, edge_list):
         if n < 0:
             raise ValueError("vertex count must be nonnegative")
+        if not hasattr(edge_list, "__len__"):
+            # Counted, and read a second time if a bulk check fails.
+            edge_list = list(edge_list)
         self.n = n
-        seen = set()  # u * n + v for each edge (u, v) with u < v
-        adjacency = [[] for _ in range(n)]
-        for u, v in edge_list:
-            if not (0 <= u < n):
-                raise VertexOutOfRangeError(u, n)
-            if not (0 <= v < n):
-                raise VertexOutOfRangeError(v, n)
-            if u == v:
-                raise SelfLoopError(u)
-            key = u * n + v if u < v else v * n + u
-            if key in seen:
-                raise DuplicateEdgeError(*divmod(key, n))
-            seen.add(key)
-            adjacency[u].append(v)
-            adjacency[v].append(u)
-        self.m = len(seen)
-        self.adjacency = tuple(tuple(sorted(nbrs)) for nbrs in adjacency)
+        # One append loop with no check in it, into a list per vertex; or,
+        # with fewer edges than n/2, into a list per vertex with an edge
+        # only, so that isolated vertices cost no list and share ().
+        sparse = 2 * len(edge_list) < n
+        rows = defaultdict(list) if sparse else [[] for _ in range(n)]
+        try:
+            for u, v in edge_list:
+                rows[u].append(v)
+                rows[v].append(u)
+        except IndexError:  # an id of n or more
+            raise _first_fault(n, edge_list) from None
+        if sparse:
+            if rows and (min(rows) < 0 or max(rows) >= n):
+                raise _first_fault(n, edge_list)
+            adjacency = [()] * n
+            for v, row in rows.items():
+                adjacency[v] = tuple(sorted(row))
+        else:
+            adjacency = tuple(map(tuple, map(sorted, rows)))
+        del rows
+        # Checked in bulk: a negative id is some vertex's least neighbour,
+        # and a self-loop or a repeated edge puts a vertex twice in a row.
+        linked = list(filter(None, adjacency))
+        ends = sum(map(len, linked))
+        if linked and (
+            min(map(_first, linked)) < 0 or ends != sum(map(len, map(set, linked)))
+        ):
+            raise _first_fault(n, edge_list)
+        self.m = ends // 2
+        self.adjacency = tuple(adjacency)
         self._edges = self._blocks = None
 
     @property
@@ -93,6 +116,25 @@ class Graph:
 
     def __repr__(self):
         return f"Graph(n={self.n}, m={self.m})"
+
+
+def _first_fault(n, edge_list):
+    """The error of the first faulty edge in edge order: an endpoint out
+    of 0..n-1, a self-loop, or an edge given before in either orientation.
+    Run only once the bulk checks have found a fault."""
+    seen = set()  # u * n + v for each edge (u, v) with u < v
+    for u, v in edge_list:
+        if not (0 <= u < n):
+            return VertexOutOfRangeError(u, n)
+        if not (0 <= v < n):
+            return VertexOutOfRangeError(v, n)
+        if u == v:
+            return SelfLoopError(u)
+        key = u * n + v if u < v else v * n + u
+        if key in seen:
+            return DuplicateEdgeError(*divmod(key, n))
+        seen.add(key)
+    return InternalError("bulk edge check failed on no edge")
 
 
 class TokenSet:
@@ -144,36 +186,24 @@ def is_independent(g, s):
     return all(members.isdisjoint(g.adjacency[v]) for v in members)
 
 
-def connected_components(g, without=()):
+def connected_components(g, without=(), within=None):
     """Partition of the vertices of g not in `without` into the maximal
     connected vertex sets of g minus `without`, ordered by minimum vertex
-    id."""
-    seen = [False] * g.n
-    for v in without:
-        seen[v] = True
+    id.  Given `within`, a union of components of g, only its vertices
+    are searched, at a cost linear in its size rather than in g's."""
+    seen = set(without)
     components = []
-    for start in range(g.n):
-        if seen[start]:
+    for start in range(g.n) if within is None else sorted(within):
+        if start in seen:
             continue
-        seen[start] = True
+        seen.add(start)
         comp = [start]
         stack = [start]
         while stack:
-            u = stack.pop()
-            for v in g.adjacency[u]:
-                if not seen[v]:
-                    seen[v] = True
+            for v in g.adjacency[stack.pop()]:
+                if v not in seen:
+                    seen.add(v)
                     comp.append(v)
                     stack.append(v)
         components.append(frozenset(comp))
     return components
-
-
-def component_labels(g, components):
-    """Per vertex of g, the index of its part in `components`, or
-    len(components) for a vertex in none of them."""
-    label = [len(components)] * g.n
-    for i, comp in enumerate(components):
-        for v in comp:
-            label[v] = i
-    return label

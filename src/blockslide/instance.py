@@ -12,6 +12,7 @@ External ids are 1-based; internally everything is 0-based.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 
 from .errors import (
@@ -23,8 +24,10 @@ from .errors import (
 )
 from .graph import Graph, TokenSet
 
-# The largest vertex count a header may declare: Graph holds a list per
-# vertex, and at this limit parsing a header with no edges peaks at 76 MB.
+# The largest vertex count a header may declare.  Graph holds a pointer per
+# vertex, isolated ones too, and decide a few arrays of n entries: at this
+# limit, parsing a header with no edges peaks at 16 MB (tracemalloc), and
+# deciding it at 240 MB resident.
 MAX_VERTICES = 1 << 20
 
 
@@ -74,6 +77,117 @@ def _raise_edge_error(lines, n, start, stop=None):
 
 def parse_instance(text):
     """The Instance a text describes; the first error in line order raises.
+
+    A text in the layout render_instance writes is read without a loop per
+    line (see _parse_rendered).  Every other text, and every text that
+    fails one of that path's checks, goes through the line walk, the only
+    code that raises a parse error.
+    """
+    inst = _parse_rendered(text)
+    return inst if inst is not None else _parse_lines(text)
+
+
+# The layout render_instance writes: a header, then the edge block.
+_HEADER = re.compile(r"p ([0-9]+) ([0-9]+)\n")
+# What str.splitlines breaks a line at in ASCII text, LF aside.
+_OTHER_BREAKS = "\r\x0b\x0c\x1c\x1d\x1e"
+_ZERO_BASED = (-1).__add__
+
+
+class _Edges:
+    """The edges (us[i], vs[i]) of two id lists, paired afresh on every
+    iteration, so that Graph can read them again after a failed check."""
+
+    __slots__ = ("us", "vs")
+
+    def __init__(self, us, vs):
+        self.us, self.vs = us, vs
+
+    def __iter__(self):
+        return zip(self.us, self.vs)
+
+    def __len__(self):
+        return len(self.us)
+
+
+def _parse_rendered(text):
+    """The Instance of a text in render_instance's layout, or None.
+
+    The layout is a header 'p n m', then m lines 'e u v', then an 's' line
+    and a 't' line, with LF line ends.  The edge block is split once, and
+    the endpoint fields are the word slices words[1::3] and words[2::3].
+    Counts check the block line by line with no loop per line: it holds m
+    LFs and no other line break, every line starts with 'e ', and it holds
+    3m words.  Every endpoint field then converts with int(), so no line's
+    'e' sits in an endpoint slot: the m lines' 'e's take the m slots 0 mod
+    3, and each line is 'e u v'.
+
+    None on any other text and on any failed check, those of the ranges,
+    the graph and the token sets included: the line walk then reports the
+    first error in line order.
+    """
+    head = _HEADER.match(text)
+    if (
+        head is None
+        or not text.isascii()
+        or any(map(text.__contains__, _OTHER_BREAKS))
+    ):
+        return None
+    try:
+        n, m = int(head[1]), int(head[2])
+    except ValueError:  # past int()'s limit on digits
+        return None
+    start = head.end()
+    t_at = text.rfind("\n", start, -1) + 1  # where the last line starts
+    if n > MAX_VERTICES or t_at == 0:
+        return None
+    s_at = text.rfind("\n", start - 1, t_at - 1) + 1
+    source, target = text[s_at:t_at].split(), text[t_at:].split()
+    words = text[start:s_at].split()
+    if (
+        source[:1] != ["s"]
+        or target[:1] != ["t"]
+        or text.count("\n", start, s_at) != m
+        or m
+        and (
+            not text.startswith("e ", start)
+            or text.count("\ne ", start, s_at) != m - 1
+        )
+        or len(words) != 3 * m
+    ):
+        return None
+    us, vs = words[1::3], words[2::3]
+    del words  # the largest list of the parse: freed before Graph is built
+    try:
+        if m >= 4 * n:
+            # An id recurs on 8 edge lines or more on average: convert
+            # each distinct field once.
+            keys = set(us)
+            keys.update(vs)
+            get = dict(zip(keys, map(_ZERO_BASED, map(int, keys)))).__getitem__
+            us = list(map(get, us))
+            vs = list(map(get, vs))
+            del keys, get
+        else:
+            us = list(map(_ZERO_BASED, map(int, us)))
+            vs = list(map(_ZERO_BASED, map(int, vs)))
+        source = list(map(int, source[1:]))
+        target = list(map(int, target[1:]))
+    except ValueError:
+        return None
+    if len(set(source)) != len(source) or len(set(target)) != len(target):
+        return None
+    try:
+        graph = Graph(n, _Edges(us, vs))
+        src = TokenSet(graph, map(_ZERO_BASED, source), which="source")
+        tgt = TokenSet(graph, map(_ZERO_BASED, target), which="target")
+    except BlockslideError:
+        return None
+    return Instance(graph, src, tgt)
+
+
+def _parse_lines(text):
+    """The line walk.
 
     One str.split per line: a blank line splits to nothing, and a comment
     is a line whose first field starts with '#'.  A well-formed edge line

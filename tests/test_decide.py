@@ -1,3 +1,4 @@
+import random
 import tracemalloc
 
 import pytest
@@ -10,6 +11,7 @@ from blockslide import (
     TokenSet,
     YES,
     compute_depths,
+    connected_components,
     compute_potentials,
     compute_ua,
     decide,
@@ -20,7 +22,7 @@ from blockslide import (
     render_instance,
     rigid_vertices,
 )
-from conftest import fuzz_corpus, union_corpus
+from conftest import fuzz_corpus, shuffled_unions, union_corpus
 
 
 def test_path3_slide_across(path3):
@@ -215,3 +217,30 @@ def test_memory_grows_linearly():
     them it is about 4.1.  tracemalloc counts the same bytes on every run."""
     small, large = _decide_path_peak(4_096), _decide_path_peak(16_384)
     assert large <= 4.6 * small, (small, large)
+
+
+@pytest.mark.parametrize("corpus", ["fuzz", "unions"])
+def test_parts_split_only_components_with_rigid_vertices(corpus):
+    """A component's parts, as the search over the whole graph minus the
+    rigid vertices finds them, for fuzz seeds 0..2999 and the shuffled
+    unions; every component verdict lists exactly those."""
+    if corpus == "fuzz":
+        insts = fuzz_corpus(3000)
+    else:
+        insts = shuffled_unions(random.Random("parts"))
+    split = 0
+    for inst in insts:
+        g, c1, c2 = inst.graph, inst.source, inst.target
+        verdict = decide(g, c1, c2)
+        for comp, sub in verdict.details.get("components", []):
+            if "component_counts" not in sub.details:
+                continue
+            rigid = sub.details["rigid_source"]
+            expected = [
+                (part, sum(v in part for v in c1), sum(v in part for v in c2))
+                for part in connected_components(g, without=rigid)
+                if part <= comp
+            ]
+            assert sub.details["component_counts"] == expected
+            split += bool(rigid)
+    assert split > 10

@@ -32,7 +32,7 @@ from blockslide import (
 from blockslide.cli import main
 from blockslide.fuzz import evaluate_instance
 from blockslide.gen import gen_token_sets
-from blockslide.graph import component_labels, connected_components
+from blockslide.graph import connected_components
 from conftest import LADDER, fuzz_corpus, shuffled, shuffled_unions, union_corpus
 from reference_passes import reference_rigid, reference_totals
 
@@ -93,6 +93,15 @@ def test_decompositions_of_one_graph_share_members(dfs_calls):
     assert first is not second
     assert first.members is second.members == ((0, 1, 2), (2, 3), (4, 5))
     assert dfs_calls == [g]
+
+
+def component_labels(g, components):
+    """Per vertex of g, the index of its part in `components`."""
+    label = [None] * g.n
+    for i, comp in enumerate(components):
+        for v in comp:
+            label[v] = i
+    return label
 
 
 def check_trees(g):

@@ -1,7 +1,10 @@
+import io
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from blockslide import (
+    Instance,
     GenParams,
     InvalidParamsError,
     SplitMix64,
@@ -13,7 +16,12 @@ from blockslide import (
     is_independent,
     Graph,
     TokenSet,
+    render_instance,
 )
+from blockslide.cli import main
+from blockslide.gen import gen_token_sets
+from conftest import LADDER, fuzz_corpus
+from reference_gen import reference_independent_set, reference_token_sets
 
 
 def test_splitmix64_reference_vectors():
@@ -94,3 +102,51 @@ def test_infeasible_size_returns_none():
     k4 = Graph(4, [(i, j) for i in range(4) for j in range(i + 1, 4)])
     assert gen_independent_set(0, k4, 2) is None
     assert gen_independent_set(0, k4, 1) is not None
+
+
+def test_token_sets_match_reference_loop():
+    """Counts from 0 to past what the restarts pack, so both the capped
+    count and every size below it are taken, on graphs of 1 to 12 vertices
+    and on larger generated ones."""
+    graphs = [inst.graph for inst in fuzz_corpus(300)]
+    graphs += [gen_block_graph(GenParams(seed, 30, 5)) for seed in range(20)]
+    for i, g in enumerate(graphs):
+        for k in range(0, g.n // 2 + 3, max(1, g.n // 8)):
+            seeds = (3 * i + k, 7 * i + 1)
+            assert gen_token_sets(g, k, *seeds) == reference_token_sets(g, k, *seeds)
+            assert gen_independent_set(seeds[0], g, k) == reference_independent_set(
+                seeds[0], g, k
+            )
+
+
+def test_gen_output_matches_reference_loop():
+    """`blockslide gen` prints what the reference generator gives, on 20
+    seeds, with token counts that fit and counts that do not."""
+    for seed in range(20):
+        params = GenParams(seed, seed % 7 + 2, seed % 4 + 2, 3 * seed % 17)
+        out = io.StringIO()
+        argv = ["gen", "--seed", str(seed), "--blocks", str(params.num_blocks),
+                "--max-clique", str(params.max_clique), "--tokens", str(params.token_count)]
+        assert main(argv, out=out) == 0
+        g = gen_block_graph(params)
+        rng = SplitMix64(seed ^ 0xD1B54A32D192ED03)
+        seeds = rng.next_u64(), rng.next_u64()
+        expected = reference_token_sets(g, min(params.token_count, g.n), *seeds)
+        assert out.getvalue() == render_instance(Instance(g, *expected))
+
+
+@pytest.mark.parametrize("shape", sorted(LADDER))
+def test_half_of_each_ladder_shape(shape):
+    """Half the vertices, or, where the greedy packings fall short of it
+    (on the path, the k4 chain and the random blocks), the largest size
+    both seeds pack: one more vertex then fails for a seed.  The reference
+    loop did not finish this in two minutes."""
+    g = LADDER[shape](4096)
+    src, tgt = gen_token_sets(g, g.n // 2, 1, 2)
+    k = len(src)
+    assert 0 < k == len(tgt) <= g.n // 2
+    assert src == gen_independent_set(1, g, k) and tgt == gen_independent_set(2, g, k)
+    if shape in ("caterpillar", "star"):
+        assert k == g.n // 2
+    else:
+        assert None in (gen_independent_set(1, g, k + 1), gen_independent_set(2, g, k + 1))

@@ -6,6 +6,7 @@ from hypothesis import given, strategies as st
 
 import blockslide
 from blockslide import (
+    BlockslideError,
     DuplicateEdgeError,
     Graph,
     NotIndependentError,
@@ -49,6 +50,66 @@ def test_graph_matches_tuple_keyed_reference():
         assert all(v in g.adjacency[u] and u in g.adjacency[v] for u, v in edge_list)
     assert Graph(3, [(0, 1)]) != Graph(3, [(1, 2)])
     assert Graph(3, [(0, 1)]) != Graph(4, [(0, 1)])
+
+
+def _faulty_edge_list(rng):
+    """A random simple edge list in random orientation and order, with zero
+    to three faults put in at random places: a negative id, an id of n or
+    more, a self-loop, or an edge given again in either orientation.  The
+    vertex count is sometimes large enough to leave most vertices isolated."""
+    n = rng.choice([rng.randint(0, 12), rng.randint(20, 80)])
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    edges = rng.sample(pairs, rng.randint(0, min(len(pairs), 3 * n)))
+    edges = [(v, u) if rng.random() < 0.5 else (u, v) for u, v in edges]
+    for _ in range(rng.choice([0, 0, 1, 1, 2, 3])):
+        kind = rng.randrange(4)
+        w = rng.randrange(n) if n else 0
+        if kind == 0:
+            bad = rng.randint(-n - 3, -1)
+        elif kind == 1:
+            bad = rng.randint(n, n + 3)
+        if kind < 2:
+            fault = (bad, w) if rng.random() < 0.5 else (w, bad)
+        elif kind == 2:
+            fault = (w, w)
+        elif edges:
+            u, v = rng.choice(edges)
+            fault = (v, u) if rng.random() < 0.5 else (u, v)
+        else:
+            continue
+        edges.insert(rng.randint(0, len(edges)), fault)
+    return n, edges
+
+
+def _graph_outcome(build, n, edges):
+    try:
+        g = build(n, edges)
+    except BlockslideError as exc:
+        return ("error", type(exc), str(exc))
+    return ("ok", g.adjacency, len(g.edges), g.edges)
+
+
+def test_graph_matches_per_edge_reference_on_faulty_edge_lists():
+    """The bulk checks after the append loop raise what the per-edge checks
+    of the reference raise, the first fault in edge order, or build the
+    same graph; for edges given as a list, a tuple or a one-shot iterator.
+    Every isolated vertex shares one empty tuple."""
+    rng = random.Random(77)
+    seen = set()
+    for i in range(6000):
+        n, edges = _faulty_edge_list(rng)
+        expected = _graph_outcome(reference_graph, n, edges)
+        given_as = [list, tuple, iter, lambda es: (e for e in es)][i % 4]
+        got = _graph_outcome(lambda n, es: Graph(n, given_as(es)), n, edges)
+        assert got == expected, (n, edges)
+        seen.add(expected[1].__name__ if expected[0] == "error" else "ok")
+        if got[0] == "ok":
+            g = Graph(n, edges)
+            assert g.m == len(edges)
+            assert len({id(row) for row in g.adjacency if not row}) <= 1
+    assert seen == {
+        "ok", "VertexOutOfRangeError", "SelfLoopError", "DuplicateEdgeError"
+    }, seen
 
 
 def test_duplicate_edge_reports_normalised_pair():

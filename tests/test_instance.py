@@ -1,6 +1,7 @@
 import io
 import random
 import time
+import tracemalloc
 
 import pytest
 
@@ -16,9 +17,11 @@ from blockslide import (
     parse_instance,
     render_instance,
 )
+import blockslide.instance as instance_module
 from blockslide.cli import main
 from blockslide.fuzz import gen_fuzz_instance
 from blockslide.instance import MAX_VERTICES
+from conftest import fuzz_corpus, union_corpus
 from reference_instance import reference_parse_instance
 
 
@@ -287,3 +290,154 @@ def test_parse_matches_line_by_line_reference():
         "VertexOutOfRangeError", "SelfLoopError", "DuplicateEdgeError",
         "NotIndependentError", "huge header",
     }, seen
+
+
+def _layout_fault(rng, text):
+    """The rendered text with one fault that keeps its layout of lines: an
+    endpoint or a token out of range, past int()'s digit limit or merely
+    odd (a sign, a leading zero, an underscore), a self-loop, an edge given
+    twice, a header count that is off, a repeated or a dependent token, a
+    wrong tag, a field moved to another edge line or to a line of its own,
+    a blank line, a line break other than LF inside a line, extra spaces
+    or fields, the token lines swapped, or no last LF."""
+    lines = text.splitlines()
+    _, n, m = lines[0].split()
+    n, m = int(n), int(m)
+    edges = lines[1:1 + m]
+    tokens = lines[-2:]
+    odd = ["0", str(n + 1), str(n + 9), "9" * 30, "9" * 5000, "-1", "+1", "01", "1_0"]
+    kind = rng.randrange(16)
+    if kind == 0 and edges:
+        i = rng.randrange(m)
+        fields = edges[i].split()
+        fields[rng.randint(1, 2)] = rng.choice(odd)
+        edges[i] = " ".join(fields)
+    elif kind == 1 and n:
+        v = rng.randint(1, n)
+        edges.insert(rng.randint(0, m), f"e {v} {v}")
+        m += 1
+    elif kind == 2 and edges:
+        _, u, v = rng.choice(edges).split()
+        edges.insert(rng.randint(0, m), rng.choice([f"e {u} {v}", f"e {v} {u}"]))
+        m += 1
+    elif kind == 3:
+        m += rng.choice([-1, 1])
+    elif kind == 4:
+        n = rng.choice([max(n - 1, 0), n + 1, MAX_VERTICES + 1])
+    elif kind == 5:
+        j = rng.randrange(2)
+        tokens[j] += " " + rng.choice(odd + [str(rng.randint(1, max(n, 1)))])
+    elif kind == 6:
+        j = rng.randrange(2)
+        fields = tokens[j].split()
+        tokens[j] += " " + (rng.choice(fields[1:]) if len(fields) > 1 else "1 1")
+    elif kind == 7 and edges:
+        _, u, v = rng.choice(edges).split()
+        tokens[rng.randrange(2)] = f"{'st'[rng.randrange(2)]} {u} {v}"
+    elif kind == 8:
+        body = edges + tokens
+        i = rng.choice([0, m, m + 1, rng.randrange(m + 2)])
+        body[i] = rng.choice(["E", "q", "ee", "#", "p", "s", "t"]) + body[i][1:]
+        edges, tokens = body[:m], body[m:]
+    elif kind == 9 and m > 1:
+        i, j = rng.sample(range(m), 2)
+        head, _, last = edges[i].rpartition(" ")
+        edges[i], edges[j] = head, f"{edges[j]} {last}"
+    elif kind == 10:
+        body = edges + tokens
+        i = rng.randrange(len(body))
+        fields = body[i].split(" ")
+        j = rng.randrange(len(fields))
+        fields[j] += rng.choice("\r\x0b\x0c\x1c\x1d\x1e\x85\u2028") + rng.choice(["", "1"])
+        body[i] = " ".join(fields)
+        edges, tokens = body[:m], body[m:]
+    elif kind == 11:
+        body = edges + tokens
+        i = rng.randrange(len(body))
+        body[i] = rng.choice([" ", ""]) + body[i].replace(" ", "  ") + rng.choice([" ", ""])
+        edges, tokens = body[:m], body[m:]
+    elif kind == 12:
+        tokens.reverse()
+    elif kind == 13 and edges:
+        i = rng.choice([m - 1, rng.randrange(m)])
+        edges[i] += " " + rng.choice(["1", "1 1", "e"])
+    elif kind == 14 and edges:
+        i = rng.randrange(m)
+        head, _, last = edges[i].rpartition(" ")
+        edges[i:i + 1] = rng.choice([[head, last], [edges[i], ""], ["", edges[i]]])
+    else:
+        return text[:-1]
+    return "\n".join([f"p {n} {m}"] + edges + tokens) + "\n"
+
+
+def test_rendered_texts_with_faults_match_line_by_line_reference():
+    """Texts that keep render_instance's layout of lines but hold a fault,
+    or an oddity the line walk accepts: the first error, or the instance,
+    is that of the line-by-line reference."""
+    rng = random.Random(909)
+    seen = set()
+    for i in range(4000):
+        inst = gen_fuzz_instance(i % 500)
+        text = _layout_fault(rng, render_instance(inst))
+        got = outcome(parse_instance, text)
+        assert got == outcome(reference_parse_instance, text), text
+        seen.add(got[1].__name__ if got[0] == "error" else "ok")
+    assert seen == {
+        "ok", "InstanceFormatError", "MissingSectionError", "VertexOutOfRangeError",
+        "SelfLoopError", "DuplicateEdgeError", "NotIndependentError",
+    }, seen
+
+
+@pytest.fixture
+def line_walks(monkeypatch):
+    """The texts the line walk reads, in call order."""
+    calls = []
+    original = instance_module._parse_lines
+
+    def counted(text):
+        calls.append(text)
+        return original(text)
+
+    monkeypatch.setattr(instance_module, "_parse_lines", counted)
+    return calls
+
+
+def test_rendered_instances_never_enter_the_line_walk(line_walks):
+    texts = [render_instance(inst) for inst in fuzz_corpus(500) + union_corpus(50)]
+    for text in texts:
+        assert outcome(parse_instance, text) == outcome(reference_parse_instance, text)
+    assert line_walks == []
+    # a comment line, a CR or a tab is read by the line walk alone
+    for text in texts[:20]:
+        for other in ("# note\n" + text, text.replace("\n", "\r\n"), text.replace(" ", "\t")):
+            assert outcome(parse_instance, other) == outcome(reference_parse_instance, text)
+    assert len(line_walks) == 60
+
+
+def _traced_peak(fn, *args):
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_isolated_vertices_cost_no_list():
+    """A header at the vertex limit with no edge: a pointer per vertex, as
+    every isolated vertex shares one empty tuple.  A list per vertex
+    peaked at 72 MB."""
+    assert _traced_peak(parse_instance, f"p {MAX_VERTICES} 0\ns\nt\n") < 24 * 2**20
+
+
+def test_parse_peak_of_a_k100_chain_is_bounded():
+    """Ten K100 cliques in a chain, 49,500 edge lines: the one split of the
+    edge block, its words freed before Graph is built, peaks no higher
+    than the per-line splits did (9,199,266 bytes with Python 3.11)."""
+    edges = []
+    for k in range(10):
+        vs = range(99 * k, 99 * k + 100)
+        edges += [(a, b) for a in vs for b in vs if a < b]
+    g = Graph(991, edges)
+    text = render_instance(Instance(g, TokenSet(g, [0]), TokenSet(g, [1])))
+    assert _traced_peak(parse_instance, text) <= 9_199_266

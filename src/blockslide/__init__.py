@@ -36,7 +36,7 @@ from .graph import (
     is_independent,
 )
 from .instance import Instance, parse_instance, render_instance
-from .invariants import DepthTable, UaTable, compute_depths, compute_ua
+from .invariants import compute_depths, compute_ua
 from .oracle import (
     NO,
     UNKNOWN,
@@ -50,14 +50,7 @@ from .oracle import (
     oracle_reachable,
     successors,
 )
-from .potential import (
-    PotentialTable,
-    Restriction,
-    capacity,
-    capacity_table,
-    compute_potentials,
-    restrict,
-)
+from .potential import capacity_table, compute_potentials
 
 __all__ = [
     # blocks
@@ -77,13 +70,12 @@ __all__ = [
     # instance
     "Instance", "parse_instance", "render_instance",
     # invariants
-    "DepthTable", "UaTable", "compute_depths", "compute_ua",
+    "compute_depths", "compute_ua",
     # oracle
     "NO", "UNKNOWN", "YES", "OracleLimits", "StateSpace", "enumerate_reachable",
     "never_token_vertices", "oracle_potential", "oracle_potential_table",
     "oracle_reachable", "successors",
     # potential
-    "PotentialTable", "Restriction", "capacity", "capacity_table",
-    "compute_potentials", "restrict",
+    "capacity_table", "compute_potentials",
 ]
 __version__ = "0.1.0"

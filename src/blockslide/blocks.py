@@ -57,6 +57,11 @@ class BlockDecomposition:
     full collection walks each tracked object again; kept eagerly, the
     views would add one such object per block and per vertex.
 
+    Pairs go by integer id (see PairIndex), and every per-pair result is a
+    list indexed by it.  pairs() and pair_id convert between ids and Pair
+    objects, which only the definitional queries (kappa, beta and the side
+    walks) take and messages print.
+
     Immutable after construction; all queries are pure.
     """
 
@@ -138,7 +143,8 @@ class BlockDecomposition:
         return self._pairs
 
     def pair_id(self, p):
-        """Integer id of pair p, its position in pairs()."""
+        """Integer id of pair p, its position in pairs().  Raises
+        InvalidPairError unless p's base is a cut vertex lying in p's block."""
         ix = self.index()
         if 0 <= p.base < self.graph.n:
             x = ix.node_of[p.base]
@@ -149,28 +155,20 @@ class BlockDecomposition:
                     return i + (0 if p.is_to_vertex else 1)
         raise InvalidPairError(f"pair {p} is not valid for this decomposition")
 
-    def check_pair(self, p):
-        if (
-            p.base not in self.cut_vertices
-            or not (0 <= p.block < len(self.blocks))
-            or p.base not in self.blocks[p.block]
-        ):
-            raise InvalidPairError(f"pair {p} is not valid for this decomposition")
-
     def kappa(self, bid, u):
         """Cut vertices of G[B,u] lying in B; closed form (B ∩ V_cut) \\ {u}.
 
         The closed form is enforced against the definitional computation by
         test, not assumed silently.
         """
-        self.check_pair(Pair(TO_VERTEX, u, bid))
+        self.pair_id(Pair(TO_VERTEX, u, bid))
         return frozenset(
             v for v in self.blocks[bid] if v != u and v in self.cut_vertices
         )
 
     def beta(self, u, bid):
         """Blocks of G[u,B] containing u; closed form blocks_of[u] \\ {B}."""
-        self.check_pair(Pair(TO_BLOCK, u, bid))
+        self.pair_id(Pair(TO_BLOCK, u, bid))
         return tuple(b for b in self.blocks_of[u] if b != bid)
 
     def _side(self, p):
@@ -219,6 +217,7 @@ class PairIndex:
     Pair 2k is (B,u) and pair 2k+1 is (u,B) for the k-th tree edge u--B of
     the canonical order, so a pair's direction is its low bit (0 for
     TO_VERTEX) and its reverse is p ^ 1.  base[p] and block[p] name it.
+    Depths, ua, capacities and potentials are plain lists in this order.
 
     Tree nodes are numbered blocks first (node B is block B), then cut
     vertices in increasing order.  node_of[v] is v's node if v is a cut
@@ -312,24 +311,6 @@ class PairIndex:
         self.into, self.node_of = tuple(into), node_of
         self.tree, self.trees = tree, trees
         self.order = found[::-1] + [q ^ 1 for q in found]
-
-
-class PairTable:
-    """One value per pair, stored by pair id; table[pair] reads one."""
-
-    __slots__ = ("decomposition", "array")
-
-    def __init__(self, bd, array):
-        self.decomposition = bd
-        self.array = array
-
-    def __getitem__(self, p):
-        return self.array[self.decomposition.pair_id(p)]
-
-    @property
-    def values(self):
-        """The table as a dict keyed by Pair."""
-        return dict(zip(self.decomposition.pairs(), self.array))
 
 
 def _biconnected_blocks(graph):

@@ -68,10 +68,10 @@ def cmd_potentials(args, out):
         local.append(seen[i])
         seen[i] += 1
     lines = [[] for _ in seen]
-    for p, x, a, d in zip(bd.pairs(), pot.array, ua.array, depths.array):
-        b, u = local[p.block], p.base + 1
-        arrow = f"B{b}->{u}" if p.is_to_vertex else f"{u}->B{b}"
-        lines[tree[p.block]].append(f"pot {arrow} = {x} ua={int(a)} d={d}")
+    per_pair = zip(ix.base, ix.block, pot.array, ua.array, depths)
+    for p, (u, b, x, a, d) in enumerate(per_pair):
+        arrow = f"{u + 1}->B{local[b]}" if p & 1 else f"B{local[b]}->{u + 1}"
+        lines[tree[b]].append(f"pot {arrow} = {x} ua={int(a)} d={d}")
     for idx, rows in enumerate(lines):
         if ix.trees > 1:
             print(f"# component {idx}", file=out)

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .blocks import TO_BLOCK, TO_VERTEX, Pair, decompose
+from .blocks import decompose
 from .decide import decide, rigid_vertices
 from .errors import InvalidParamsError
 from .gen import GenParams, SplitMix64, gen_block_graph, gen_token_sets
@@ -72,92 +72,75 @@ def evaluate_instance(inst, lim=OracleLimits()):
 
     Violations are tagged with a category so harnesses can tally them:
     decision, potential, capacity, fixedpoint, iteration, rigid, truncated.
+    Per-pair values are read by pair id.  Each pair's dependencies come from
+    the closed forms kappa and beta, not from the pair index that the
+    solver's passes walk, so the equations are checked independently of it.
     """
     g, c1, c2 = inst.graph, inst.source, inst.target
     failures = []
     bd = decompose(g)
-    depths = compute_depths(bd)
-    ua = compute_ua(bd, depths)
-    pair_list = bd.pairs()
-    m = len(bd.blocks)
+    ua = compute_ua(bd, compute_depths(bd))
+    ix = bd.index()
+    pairs = bd.pairs()  # for the side walks and the messages
+    m = len(bd.members)
     ncut = len(bd.cut_vertices)
     iter_bound = 2 * m * (ncut + m - 1) + 1
     adjacency = adjacency_masks(g)
-    # per pair, the mask of its side's interior: G[p] without the base
-    interior = {p: mask_of(bd.side_vertices(p)) & ~(1 << p.base) for p in pair_list}
+    block_masks = [mask_of(b) for b in bd.members]
+    # per pair id, the mask of its side's interior: G[p] without the base
+    interior = [mask_of(bd.side_vertices(p)) & ~(1 << p.base) for p in pairs]
+    in_side = [bd.blocks_in_side(p) for p in pairs]
+    # per tree edge u--B, the id of (B,u), whose reverse (u,B) is one more;
+    # per pair id, the ids of its dependencies: (v,B) for v in kappa(B,u),
+    # (B',u) for B' in beta(u,B); per cut vertex u, the ids of all its (B,u)
+    edge = {(u, b): i for i, (u, b) in enumerate(zip(ix.base, ix.block)) if not i & 1}
+    deps = [
+        [edge[u, b] for b in bd.beta(u, bid)] if i & 1
+        else [edge[v, bid] + 1 for v in bd.kappa(bid, u)]
+        for i, (u, bid) in enumerate(zip(ix.base, ix.block))
+    ]
+    incident = {u: [edge[u, b] for b in bd.blocks_of[u]] for u in bd.cut_vertices}
+    a = ua.array  # ua per pair id
 
-    def interior_count(mask, p):
-        return (mask & interior[p]).bit_count()
-
-    pots = {}
+    pots = []
     for name, c in (("source", c1), ("target", c2)):
         pot = compute_potentials(bd, ua, c)
-        pots[name] = pot
+        pots.append(pot)
         if pot.iteration_count > iter_bound:
             failures.append(
                 ("iteration",
                  f"{name}: iteration_count {pot.iteration_count} > bound {iter_bound}")
             )
         caps = capacity_table(bd, ua, c)
+        y = pot.array
         c_mask = mask_of(c)
-        for p in pair_list:
-            cap = caps[p]
+        for i, (u, bid) in enumerate(zip(ix.base, ix.block)):
+            p, cap, x = pairs[i], caps[i], y[i]
             if cap < 0:
                 failures.append(("capacity", f"{name}: negative capacity at {p}"))
-            side_tokens = c_mask & interior[p]
-            base_attacked = bool(adjacency[p.base] & side_tokens)
-            if ua[p] and not base_attacked and cap <= 0:
+            if a[i] and not adjacency[u] & c_mask & interior[i] and cap <= 0:
                 failures.append(("capacity", f"{name}: ua and unattacked base but cap=0 at {p}"))
-            x = pot[p]
-            if x > bd.blocks_in_side(p):
+            if x > in_side[i]:
                 failures.append(("fixedpoint", f"{name}: potential {x} exceeds block count at {p}"))
-            if p.is_to_vertex:
-                bid, u = p.block, p.base
-                in_block = (c_mask & mask_of(bd.blocks[bid]) & ~(1 << u)).bit_count()
-                rhs = (
-                    sum(pot[Pair(TO_BLOCK, v, bid)] for v in bd.kappa(bid, u))
-                    + int(ua[p])
-                    - in_block
-                )
+            # the interiors of the dependencies' sides partition p's
+            # interior, off block B for a (B,u)
+            inside = (c_mask & interior[i]).bit_count()
+            parts = sum((c_mask & interior[j]).bit_count() for j in deps[i])
+            if not i & 1:
+                in_block = (c_mask & block_masks[bid] & ~(1 << u)).bit_count()
+                rhs = sum(y[j] for j in deps[i]) + a[i] - in_block
                 if rhs < 0:
                     failures.append(("fixedpoint", f"{name}: negative fixed-point operand at {p}"))
                 if x != rhs:
                     failures.append(("fixedpoint", f"{name}: fixed-point equation fails at {p}"))
-                # interiors of the sub-sides partition the interior off-block
-                lhs = sum(
-                    interior_count(c_mask, Pair(TO_BLOCK, v, bid))
-                    for v in bd.kappa(bid, u)
-                )
-                if lhs != interior_count(c_mask, p) - in_block:
-                    failures.append(("fixedpoint", f"{name}: interior sum identity fails at {p}"))
-            else:
-                u, bid = p.base, p.block
-                incident = [Pair(TO_VERTEX, u, b) for b in bd.blocks_of[u]]
-                two_zero = (
-                    sum(1 for q in incident if pot[q] == 0 and ua[q]) >= 2
-                )
-                if two_zero:
-                    if x != 0:
-                        failures.append(
-                            ("fixedpoint", f"{name}: fixed-point zero case fails at {p}")
-                        )
-                else:
-                    rhs = (
-                        sum(
-                            pot[Pair(TO_VERTEX, u, b)]
-                            - int(ua[Pair(TO_VERTEX, u, b)])
-                            for b in bd.beta(u, bid)
-                        )
-                        + int(ua[p])
-                    )
-                    if x != rhs:
-                        failures.append(("fixedpoint", f"{name}: fixed-point equation fails at {p}"))
-                lhs = sum(
-                    interior_count(c_mask, Pair(TO_VERTEX, u, b))
-                    for b in bd.beta(u, bid)
-                )
-                if lhs != interior_count(c_mask, p):
-                    failures.append(("fixedpoint", f"{name}: interior sum identity fails at {p}"))
+                inside -= in_block
+            elif sum(1 for j in incident[u] if y[j] == 0 and a[j]) >= 2:
+                if x != 0:
+                    failures.append(("fixedpoint", f"{name}: fixed-point zero case fails at {p}"))
+            elif x != sum(y[j] - a[j] for j in deps[i]) + a[i]:
+                failures.append(("fixedpoint", f"{name}: fixed-point equation fails at {p}"))
+            if parts != inside:
+                failures.append(("fixedpoint", f"{name}: interior sum identity fails at {p}"))
 
     space1 = enumerate_reachable(g, c1, lim)
     space2 = enumerate_reachable(g, c2, lim)
@@ -174,18 +157,17 @@ def evaluate_instance(inst, lim=OracleLimits()):
              f"{'yes' if oracle_yes else 'no'}")
         )
 
-    for name, c, space in (("source", c1, space1), ("target", c2, space2)):
+    for name, c, space, pot in zip(("source", "target"), (c1, c2), (space1, space2), pots):
         otab = oracle_potential_table(g, bd, ua, c, lim, space=space)
-        for p in pair_list:
-            if pots[name][p] != otab[p]:
+        for p, x, o in zip(pairs, pot.array, otab):
+            if x != o:
                 failures.append(
                     ("potential",
-                     f"{name}: potential mismatch at {p}: "
-                     f"algorithm {pots[name][p]}, oracle {otab[p]}")
+                     f"{name}: potential mismatch at {p}: algorithm {x}, oracle {o}")
                 )
 
-    rigid1 = rigid_vertices(bd, ua, pots["source"])
-    rigid2 = rigid_vertices(bd, ua, pots["target"])
+    rigid1 = rigid_vertices(bd, ua, pots[0])
+    rigid2 = rigid_vertices(bd, ua, pots[1])
     never1 = never_token_vertices(space1)
     never2 = never_token_vertices(space2)
     if not rigid1 <= never1:

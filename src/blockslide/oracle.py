@@ -149,7 +149,7 @@ def oracle_reachable(g, c1, c2, lim=OracleLimits()):
 def oracle_potential(g, bd, ua, c, p, lim=OracleLimits()):
     """Literal evaluation of the potential definition by enumerating every
     reachable token set.  Returns None (unknown) on truncation."""
-    bd.check_pair(p)
+    i = bd.pair_id(p)
     space = enumerate_reachable(g, c, lim)
     if space.truncated:
         return None
@@ -157,7 +157,7 @@ def oracle_potential(g, bd, ua, c, p, lim=OracleLimits()):
     start_interior = (mask_of(c) & interior).bit_count()
     best = None
     for mask in space.visited:
-        cap = capacity_table(bd, ua, vertices_of(mask))[p]
+        cap = capacity_table(bd, ua, vertices_of(mask))[i]
         value = cap + (mask & interior).bit_count() - start_interior
         if best is None or value > best:
             best = value
@@ -165,28 +165,25 @@ def oracle_potential(g, bd, ua, c, p, lim=OracleLimits()):
 
 
 def oracle_potential_table(g, bd, ua, c, lim=OracleLimits(), space=None):
-    """Definitional potentials for every pair from a single enumeration.
+    """Definitional potentials per pair id from a single enumeration.
 
     Equivalent to calling oracle_potential per pair but shares the BFS and
-    the per-state capacity tables.  Returns None on truncation.  A
+    the per-state capacity lists.  Returns None on truncation.  A
     pre-computed StateSpace for c may be passed to share it further.
     """
     if space is None:
         space = enumerate_reachable(g, c, lim)
     if space.truncated:
         return None
-    pair_list = bd.pairs()
-    sides = [mask_of(bd.side_vertices(p)) & ~(1 << p.base) for p in pair_list]
-    start = mask_of(c)
-    start_interiors = [(start & s).bit_count() for s in sides]
-    best = [None] * len(pair_list)
+    # per pair id, the mask of its side's interior: G[p] without the base
+    sides = [mask_of(bd.side_vertices(p)) & ~(1 << p.base) for p in bd.pairs()]
+    best = None  # per pair id, the largest cap + interior tokens so far
     for mask in space.visited:
         caps = capacity_table(bd, ua, vertices_of(mask))
-        for i, p in enumerate(pair_list):
-            value = caps[p] + (mask & sides[i]).bit_count() - start_interiors[i]
-            if best[i] is None or value > best[i]:
-                best[i] = value
-    return {p: best[i] for i, p in enumerate(pair_list)}
+        values = [cap + (mask & s).bit_count() for cap, s in zip(caps, sides)]
+        best = values if best is None else list(map(max, best, values))
+    start = mask_of(c)
+    return [b - (start & s).bit_count() for b, s in zip(best, sides)]
 
 
 def never_token_vertices(space):

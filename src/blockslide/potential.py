@@ -1,6 +1,7 @@
 """Capacities of per-pair token restrictions and the fixed-point potentials.
 
-Both run over the flat lists of the pair index (BlockDecomposition.index).
+Both run over the flat lists of the pair index (BlockDecomposition.index)
+and give one value per pair id.
 Each pair's equation has a constant term: ua(p), minus, for a (B,u) pair,
 the tokens of B other than u.  The capacity is one pass over the index's
 rooted order with running totals per node: a pair reads its node's totals
@@ -31,30 +32,24 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .blocks import Pair, PairTable
 from .errors import InternalError
-from .graph import TokenSet
 
 
-@dataclass(frozen=True)
-class Restriction:
-    pair: Pair
-    tokens_in_side: TokenSet
-    interior: TokenSet
+@dataclass
+class Potentials:
+    """The potential per pair id; the fixed point's iteration_count; and,
+    per node x, zeros[x]: the number of pairs in into[x] at potential 0
+    with ua, the count that freezes a cut vertex's (u,B) pairs at two and
+    makes it rigid (always 0 for a block)."""
 
-
-def restrict(bd, c, p):
-    """Tokens of c lying in the side G[p], and the same minus the base."""
-    bd.check_pair(p)
-    side = bd.side_vertices(p)
-    tokens = [v for v in c if v in side]
-    interior = [v for v in tokens if v != p.base]
-    return Restriction(p, TokenSet(bd.graph, tokens), TokenSet(bd.graph, interior))
+    array: list
+    iteration_count: int
+    zeros: list
 
 
 def _constants(bd, ua, vertices):
     """Per pair id: ua(p), minus for (B,u) the tokens of B other than u.
-    ua is the UaTable of bd."""
+    ua is compute_ua's record for bd."""
     ix = bd.index()
     into, base, node, node_of = ix.into, ix.base, ix.node, ix.node_of
     nblocks = len(bd.members)
@@ -102,36 +97,15 @@ def _capacities(bd, ua, const):
 
 
 def capacity_table(bd, ua, c):
-    """Capacity of C[p] for every pair p, as a dict, for the token set C:
-    a TokenSet or any iterable of distinct vertices."""
-    const = _constants(bd, ua, c)
-    return dict(zip(bd.pairs(), _capacities(bd, ua, const)[0]))
-
-
-def capacity(bd, ua, c, p):
-    """cap(C[p]) for the restriction of token set c to pair p."""
-    i = bd.pair_id(p)
-    return _capacities(bd, ua, _constants(bd, ua, c.vertices))[0][i]
-
-
-class PotentialTable(PairTable):
-    """Potentials for every pair, plus the fixed point's iteration_count
-    and, per node x, zeros[x]: the number of pairs in into[x] at potential
-    0 with ua, the count that freezes a cut vertex's (u,B) pairs at two and
-    makes it rigid (always 0 for a block)."""
-
-    __slots__ = ("iteration_count", "zeros")
-
-    def __init__(self, bd, array, iteration_count, zeros):
-        super().__init__(bd, array)
-        self.iteration_count = iteration_count
-        self.zeros = zeros
+    """cap(C[p]) per pair id for the token set C: a TokenSet or any
+    iterable of distinct vertices."""
+    return _capacities(bd, ua, _constants(bd, ua, c))[0]
 
 
 def compute_potentials(bd, ua, c):
-    """Fixed-point potentials for every pair, plus the number of increases
-    plus one.  The host graph may be disconnected: no equation reaches
-    across components."""
+    """Fixed-point potentials per pair id, the number of increases plus
+    one, and the zero counts per node, as a Potentials record.  The host
+    graph may be disconnected: no equation reaches across components."""
     ix = bd.index()
     node, into = ix.node, ix.into
     const = _constants(bd, ua, c.vertices)
@@ -168,4 +142,4 @@ def compute_potentials(bd, ua, c):
             if not queued[q]:
                 queued[q] = 1
                 pending.append(q)
-    return PotentialTable(bd, y, increases + 1, zeros)
+    return Potentials(y, increases + 1, zeros)

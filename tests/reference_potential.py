@@ -19,20 +19,17 @@ def _tokens_in_block_interior(bd, mask, bid, base):
 
 @dataclass(frozen=True)
 class ReferencePotentials:
-    values: dict
+    array: list  # per pair id
     iteration_count: int
-
-    def __getitem__(self, p):
-        return self.values[p]
 
 
 def restart_sweep_potentials(bd, ua, c):
-    """Fixed-point potentials for every pair, plus the number of sweep
-    passes executed."""
+    """Fixed-point potentials per pair id, plus the number of sweep passes
+    executed."""
     pair_list = bd.pairs()
     index = {p: i for i, p in enumerate(pair_list)}
     npairs = len(pair_list)
-    ua_arr = [int(ua[p]) for p in pair_list]
+    ua_arr = list(map(int, ua.array))
 
     # Per-pair precomputation: dependency indices and constants.
     deps = [None] * npairs
@@ -76,4 +73,4 @@ def restart_sweep_potentials(bd, ua, c):
                 updated = True
                 break
 
-    return ReferencePotentials({p: y[i] for i, p in enumerate(pair_list)}, iterations)
+    return ReferencePotentials(y, iterations)

@@ -64,14 +64,17 @@ def test_k4_pendant_sides(k4_pendant):
 
 
 def test_check_pair_rejects_non_cut_base(k4_pendant):
+    """pair_id is the one check of a pair, and kappa and beta go through it."""
     bd = decompose(k4_pendant)
-    with pytest.raises(InvalidPairError):
-        bd.check_pair(Pair(TO_VERTEX, 1, 0))
-    with pytest.raises(InvalidPairError):
-        bd.check_pair(Pair(TO_VERTEX, 0, 7))
-    for bad in (Pair(TO_VERTEX, 1, 0), Pair(TO_BLOCK, 0, 7), Pair(TO_BLOCK, 9, 0)):
+    bad = (Pair(TO_VERTEX, 1, 0), Pair(TO_VERTEX, 0, 7), Pair(TO_BLOCK, 0, 7),
+           Pair(TO_BLOCK, 9, 0), Pair(TO_BLOCK, -1, 0))
+    for p in bad:
         with pytest.raises(InvalidPairError):
-            bd.pair_id(bad)
+            bd.pair_id(p)
+        with pytest.raises(InvalidPairError):
+            bd.kappa(p.block, p.base)
+        with pytest.raises(InvalidPairError):
+            bd.beta(p.base, p.block)
 
 
 def test_is_block_graph():

@@ -80,6 +80,19 @@ def test_accepts_raw_iterables(path3):
     assert decide(path3, [0], [2]).reachable
 
 
+def test_one_shot_iterables_decide_like_lists(path3):
+    """Each token set is read once, so a generator or an iterator gives
+    the verdict of the same vertices in a list."""
+    for c1, c2 in (([0], [2]), ([0], [1]), ([0, 2], [0]), ([0, 2], [2, 0]), ([], [])):
+        expected = decide(path3, c1, c2)
+        assert decide(path3, (v for v in c1), iter(c2)) == expected
+        assert decide(path3, iter(c1), (v for v in c2)) == expected
+    for c1, c2, which in (([0, 1], [2], "source"), ([2], [1, 2], "target")):
+        with pytest.raises(NotIndependentError) as raised:
+            decide(path3, iter(c1), (v for v in c2))
+        assert raised.value.which == which
+
+
 def test_clique_rotation():
     g = Graph(4, [(i, j) for i in range(4) for j in range(i + 1, 4)])
     assert decide(g, TokenSet(g, [1]), TokenSet(g, [3])).reachable

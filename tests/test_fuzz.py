@@ -1,0 +1,72 @@
+"""Fault injection into evaluate_instance: a fault in what one category
+checks is reported under that category and no other."""
+
+from collections import defaultdict
+
+import pytest
+
+import blockslide.fuzz as fuzz_mod
+from blockslide import BlockDecomposition
+from blockslide.fuzz import evaluate_instance, gen_fuzz_instance
+
+
+def oracle_from_empty_start(monkeypatch):
+    """Oracle potentials measured from the empty token set, not from c."""
+    original = fuzz_mod.oracle_potential_table
+
+    def table(g, bd, ua, c, *args, **kwargs):
+        return original(g, bd, ua, (), *args, **kwargs)
+
+    monkeypatch.setattr(fuzz_mod, "oracle_potential_table", table)
+
+
+def negative_capacities(monkeypatch):
+    """A capacity table that reads -1 for every pair."""
+    monkeypatch.setattr(fuzz_mod, "capacity_table", lambda bd, ua, c: defaultdict(lambda: -1))
+
+
+def empty_kappa(monkeypatch):
+    """kappa(B,u) loses every cut vertex, so (B,u) depends on nothing."""
+    monkeypatch.setattr(BlockDecomposition, "kappa", lambda self, bid, u: frozenset())
+
+
+def runaway_iteration_count(monkeypatch):
+    """The fixed point reports far more increases than its bound allows."""
+    original = fuzz_mod.compute_potentials
+
+    def compute_potentials(bd, ua, c):
+        pot = original(bd, ua, c)
+        pot.iteration_count = 10**9
+        return pot
+
+    monkeypatch.setattr(fuzz_mod, "compute_potentials", compute_potentials)
+
+
+def every_vertex_rigid(monkeypatch):
+    """Every vertex of the graph is called rigid."""
+    monkeypatch.setattr(
+        fuzz_mod, "rigid_vertices", lambda bd, ua, pot: frozenset(range(bd.graph.n))
+    )
+
+
+FAULTS = {
+    "potential": oracle_from_empty_start,
+    "capacity": negative_capacities,
+    "fixedpoint": empty_kappa,
+    "iteration": runaway_iteration_count,
+    "rigid": every_vertex_rigid,
+}
+
+# A fuzz instance with cut vertices and a token off them, so every fault
+# above shows on it.
+SEED = 2
+
+
+@pytest.mark.parametrize("category", sorted(FAULTS))
+def test_injected_fault_is_reported_under_its_category(category, monkeypatch):
+    inst = gen_fuzz_instance(SEED)
+    assert evaluate_instance(inst).violations == []
+    FAULTS[category](monkeypatch)
+    report = evaluate_instance(inst)
+    assert report.violations
+    assert {found for found, _ in report.violations} == {category}

@@ -205,3 +205,9 @@ def test_components_partition_vertices(n, data):
 def test_package_exports_no_submodules():
     for name in blockslide.__all__:
         assert not isinstance(getattr(blockslide, name), types.ModuleType), name
+
+
+def test_package_all_names_resolve_once():
+    assert len(set(blockslide.__all__)) == len(blockslide.__all__)
+    for name in blockslide.__all__:
+        assert hasattr(blockslide, name), name

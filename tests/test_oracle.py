@@ -92,8 +92,7 @@ def test_potential_table_matches_per_pair():
     d = compute_depths(bd)
     ua = compute_ua(bd, d)
     table = oracle_potential_table(g, bd, ua, inst.source)
-    for p in bd.pairs():
-        assert table[p] == oracle_potential(g, bd, ua, inst.source, p)
+    assert table == [oracle_potential(g, bd, ua, inst.source, p) for p in bd.pairs()]
 
 
 def test_potential_none_on_truncation(path3):

@@ -2,11 +2,7 @@ import pytest
 
 from blockslide import (
     Graph,
-    Pair,
-    TO_BLOCK,
-    TO_VERTEX,
     TokenSet,
-    capacity,
     capacity_table,
     compute_depths,
     compute_potentials,
@@ -14,7 +10,6 @@ from blockslide import (
     decompose,
     oracle_potential,
     oracle_potential_table,
-    restrict,
 )
 from conftest import fuzz_corpus, slow_capacity, union_corpus
 from reference_potential import restart_sweep_potentials
@@ -27,51 +22,30 @@ def setup(g):
     return bd, ua
 
 
-def test_restrict_path3(path3):
-    bd, ua = setup(path3)
-    c = TokenSet(path3, [0, 2])
-    r = restrict(bd, c, Pair(TO_VERTEX, 1, 0))
-    assert r.tokens_in_side.vertices == (0,)
-    assert r.interior.vertices == (0,)
-    r = restrict(bd, c, Pair(TO_BLOCK, 1, 0))
-    assert r.tokens_in_side.vertices == (2,)
-
-
-def test_restrict_keeps_base_token(path3):
-    bd, ua = setup(path3)
-    c = TokenSet(path3, [1])
-    r = restrict(bd, c, Pair(TO_VERTEX, 1, 0))
-    assert r.tokens_in_side.vertices == (1,)
-    assert r.interior.vertices == ()
-
-
 def test_path3_capacities(path3):
     bd, ua = setup(path3)
     c = TokenSet(path3, [0])
-    caps = [capacity(bd, ua, c, p) for p in bd.pairs()]
-    assert caps == [0, 1, 1, 0]
+    assert capacity_table(bd, ua, c) == [0, 1, 1, 0]
 
 
 def test_path3_potentials(path3):
     bd, ua = setup(path3)
     c = TokenSet(path3, [0])
     pot = compute_potentials(bd, ua, c)
-    assert [pot[p] for p in bd.pairs()] == [0, 1, 1, 0]
+    assert pot.array == [0, 1, 1, 0]
     # the capacities are already the fixed point: no increase
     assert pot.iteration_count == 1
     # the restart sweep from 0 needs two increases
     ref = restart_sweep_potentials(bd, ua, c)
-    assert [ref[p] for p in bd.pairs()] == [0, 1, 1, 0]
+    assert ref.array == [0, 1, 1, 0]
     assert ref.iteration_count == 3
 
 
 def test_empty_token_set_capacity_equals_potential(k4_pendant):
     bd, ua = setup(k4_pendant)
     c = TokenSet(k4_pendant, [])
-    pot = compute_potentials(bd, ua, c)
-    for p in bd.pairs():
-        # nothing can move, so the best reachable capacity is the current one
-        assert pot[p] == capacity(bd, ua, c, p)
+    # nothing can move, so the best reachable capacity is the current one
+    assert compute_potentials(bd, ua, c).array == capacity_table(bd, ua, c)
 
 
 CORPUS = fuzz_corpus(80, seed=37)
@@ -92,8 +66,7 @@ def test_capacity_matches_definitional_recursion(idx):
     for c in (inst.source, inst.target):
         table = capacity_table(bd, ua, c)
         assert capacity_table(bd, ua, list(c)) == table
-        for p in bd.pairs():
-            assert table[p] == slow_capacity(bd, c, p)
+        assert table == [slow_capacity(bd, c, p) for p in bd.pairs()]
 
 
 @pytest.mark.parametrize("idx", range(0, 80, 4))
@@ -104,9 +77,9 @@ def test_potential_dominates_capacity(idx):
     for c in (inst.source, inst.target):
         pot = compute_potentials(bd, ua, c)
         table = capacity_table(bd, ua, c)
-        for p in bd.pairs():
-            assert pot[p] >= table[p] >= 0
-            assert pot[p] <= bd.blocks_in_side(p)
+        for p, x, cap in zip(bd.pairs(), pot.array, table, strict=True):
+            assert x >= cap >= 0
+            assert x <= bd.blocks_in_side(p)
 
 
 @pytest.mark.parametrize("idx", range(0, 80, 8))
@@ -116,8 +89,7 @@ def test_potentials_match_brute_force(idx):
     bd, ua = setup(g)
     for c in (inst.source, inst.target):
         pot = compute_potentials(bd, ua, c)
-        for p in bd.pairs():
-            assert pot[p] == oracle_potential(g, bd, ua, c, p)
+        assert pot.array == [oracle_potential(g, bd, ua, c, p) for p in bd.pairs()]
 
 
 @pytest.mark.parametrize("start", range(0, 120, 40))
@@ -127,7 +99,7 @@ def test_potentials_on_unions_match_oracle(start):
         g = inst.graph
         bd, ua = setup(g)
         for c in (inst.source, inst.target):
-            assert compute_potentials(bd, ua, c).values == (
+            assert compute_potentials(bd, ua, c).array == (
                 oracle_potential_table(g, bd, ua, c)
             )
 
@@ -139,8 +111,8 @@ def test_potentials_match_restart_sweep(start):
     for inst in fuzz_corpus(500, seed=start):
         bd, ua = setup(inst.graph)
         for c in (inst.source, inst.target):
-            assert compute_potentials(bd, ua, c).values == (
-                restart_sweep_potentials(bd, ua, c).values
+            assert compute_potentials(bd, ua, c).array == (
+                restart_sweep_potentials(bd, ua, c).array
             )
 
 
@@ -159,5 +131,5 @@ def test_single_clique_trivial():
     g = Graph(3, [(0, 1), (1, 2), (0, 2)])
     bd, ua = setup(g)
     pot = compute_potentials(bd, ua, TokenSet(g, [1]))
-    assert pot.values == {}
+    assert pot.array == []
     assert pot.iteration_count == 1

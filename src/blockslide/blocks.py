@@ -171,7 +171,7 @@ class BlockDecomposition:
         self.pair_id(Pair(TO_BLOCK, u, bid))
         return tuple(b for b in self.blocks_of[u] if b != bid)
 
-    def _side(self, p):
+    def side(self, p):
         """(number of blocks, vertex set) of G[p], memoized by pair id.
 
         The walk follows p's dependencies in the pair index: the side of
@@ -200,7 +200,7 @@ class BlockDecomposition:
         For (B,u): all vertices of blocks on B's side of the tree edge u--B.
         For (u,B): all vertices of blocks on u's side, plus u itself.
         """
-        return self._side(p)[1]
+        return self.side(p)[1]
 
     def blocks_in_side(self, p):
         """Number of blocks of G[p] (used for the potential upper bound).
@@ -208,7 +208,7 @@ class BlockDecomposition:
         For (B,u) this counts blocks in the tree component on B's side; for
         (u,B) the blocks on u's side.  A base vertex alone contributes none.
         """
-        return self._side(p)[0]
+        return self.side(p)[0]
 
 
 class PairIndex:
@@ -251,10 +251,13 @@ class PairIndex:
     holds p.  Each pair then reads its node's totals minus its reverse
     p ^ 1 in O(1): in the first half the reverse is the one pair of the
     list not yet set, so its starting value must add nothing to the
-    totals; in the second half every pair of the list is set.
+    totals; in the second half every pair of the list is set.  pos[p] is
+    p's position in order.
     """
 
-    __slots__ = ("base", "block", "node", "into", "node_of", "tree", "trees", "order")
+    __slots__ = (
+        "base", "block", "node", "into", "node_of", "tree", "trees", "order", "pos"
+    )
 
     def __init__(self, bd):
         members = bd.members
@@ -310,7 +313,10 @@ class PairIndex:
         self.base, self.block, self.node = base, block, node
         self.into, self.node_of = tuple(into), node_of
         self.tree, self.trees = tree, trees
-        self.order = found[::-1] + [q ^ 1 for q in found]
+        self.order = order = found[::-1] + [q ^ 1 for q in found]
+        self.pos = pos = [0] * len(order)
+        for i, p in enumerate(order):
+            pos[p] = i
 
 
 def _biconnected_blocks(graph):

@@ -63,9 +63,11 @@ def rigid_vertices(bd, ua, pot):
 def _parts_after(g, comp, rigid, c1, c2):
     """(part, tokens of c1 in it, tokens of c2 in it) per component of the
     component comp of g minus its rigid vertices, in order of least
-    vertex; the search stays inside comp."""
+    vertex; the search stays inside comp.  Each count is one frozenset
+    intersection, which iterates the smaller of the part and the tokens."""
+    m1, m2 = c1._members, c2._members
     return [
-        (part, sum(map(c1.__contains__, part)), sum(map(c2.__contains__, part)))
+        (part, len(part & m1), len(part & m2))
         for part in connected_components(g, rigid, within=comp)
     ]
 
@@ -134,13 +136,14 @@ def decide(g, c1, c2):
     c1 and c2 are TokenSets or iterables of vertices, each read once.
     Validates the block-graph property and independence, short-circuits on
     unequal token counts, and decides every component in one pass over the
-    block-cut forest of g (see decide_connected).
+    block-cut forest of g (see decide_connected).  A TokenSet checked on
+    another graph than g is checked again on g.
     """
     if not is_block_graph(g):
         raise NotABlockGraphError("input graph has a non-clique block")
-    if not isinstance(c1, TokenSet):
+    if not isinstance(c1, TokenSet) or c1.graph is not g:
         c1 = TokenSet(g, c1, which="source")
-    if not isinstance(c2, TokenSet):
+    if not isinstance(c2, TokenSet) or c2.graph is not g:
         c2 = TokenSet(g, c2, which="target")
 
     if len(c1) != len(c2):

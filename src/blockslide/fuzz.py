@@ -87,9 +87,11 @@ def evaluate_instance(inst, lim=OracleLimits()):
     iter_bound = 2 * m * (ncut + m - 1) + 1
     adjacency = adjacency_masks(g)
     block_masks = [mask_of(b) for b in bd.members]
-    # per pair id, the mask of its side's interior: G[p] without the base
-    interior = [mask_of(bd.side_vertices(p)) & ~(1 << p.base) for p in pairs]
-    in_side = [bd.blocks_in_side(p) for p in pairs]
+    # per pair id, from one side walk: the blocks of G[p], and the mask of
+    # its interior, G[p] without the base
+    sides = list(map(bd.side, pairs))
+    in_side = [count for count, _ in sides]
+    interior = [mask_of(vs) & ~(1 << p.base) for p, (_, vs) in zip(pairs, sides)]
     # per tree edge u--B, the id of (B,u), whose reverse (u,B) is one more;
     # per pair id, the ids of its dependencies: (v,B) for v in kappa(B,u),
     # (B',u) for B' in beta(u,B); per cut vertex u, the ids of all its (B,u)
@@ -143,12 +145,13 @@ def evaluate_instance(inst, lim=OracleLimits()):
                 failures.append(("fixedpoint", f"{name}: interior sum identity fails at {p}"))
 
     space1 = enumerate_reachable(g, c1, lim)
-    space2 = enumerate_reachable(g, c2, lim)
+    oracle_yes = mask_of(c2) in space1.visited
+    # Slides are reversible: when c1 reaches c2, both reach the same states.
+    space2 = space1 if oracle_yes else enumerate_reachable(g, c2, lim)
     if space1.truncated or space2.truncated:
         failures.append(("truncated", "oracle truncated; envelope too large"))
         return InstanceReport(failures)
 
-    oracle_yes = mask_of(c2) in space1.visited
     verdict = decide(g, c1, c2)
     if verdict.reachable != oracle_yes:
         failures.append(
@@ -157,8 +160,18 @@ def evaluate_instance(inst, lim=OracleLimits()):
              f"{'yes' if oracle_yes else 'no'}")
         )
 
-    for name, c, space, pot in zip(("source", "target"), (c1, c2), (space1, space2), pots):
-        otab = oracle_potential_table(g, bd, ua, c, lim, space=space)
+    otabs = [oracle_potential_table(g, bd, ua, c1, lim, space=space1, sides=interior)]
+    if oracle_yes:
+        # One space, so one maximum of cap + interior tokens over its states
+        # per pair: the two tables differ only by the starts' interior tokens.
+        m1, m2 = mask_of(c1), mask_of(c2)
+        otabs.append([
+            o + (m1 & s).bit_count() - (m2 & s).bit_count()
+            for o, s in zip(otabs[0], interior)
+        ])
+    else:
+        otabs.append(oracle_potential_table(g, bd, ua, c2, lim, space=space2, sides=interior))
+    for name, otab, pot in zip(("source", "target"), otabs, pots):
         for p, x, o in zip(pairs, pot.array, otab):
             if x != o:
                 failures.append(

@@ -143,9 +143,11 @@ class TokenSet:
     Stores the sorted vertex tuple, which also serves iteration, equality
     and hashing, plus a frozenset of the same vertices for O(1) membership.
     Both are linear in the number of tokens, whatever the size of the graph.
+    graph is the graph the set was checked on: independence in one graph
+    says nothing about another.
     """
 
-    __slots__ = ("vertices", "_members")
+    __slots__ = ("vertices", "_members", "graph")
 
     def __init__(self, graph, vertices, which="set"):
         vs = sorted(set(vertices))
@@ -157,6 +159,7 @@ class TokenSet:
                 raise NotIndependentError(which)
         self.vertices = tuple(vs)
         self._members = members
+        self.graph = graph
 
     def __contains__(self, v):
         return v in self._members
@@ -200,7 +203,10 @@ def connected_components(g, without=(), within=None):
         comp = [start]
         stack = [start]
         while stack:
-            for v in g.adjacency[stack.pop()]:
+            row = g.adjacency[stack.pop()]
+            if seen.issuperset(row):  # in a clique, every row but the first
+                continue
+            for v in row:
                 if v not in seen:
                     seen.add(v)
                     comp.append(v)

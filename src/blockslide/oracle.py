@@ -164,19 +164,20 @@ def oracle_potential(g, bd, ua, c, p, lim=OracleLimits()):
     return best
 
 
-def oracle_potential_table(g, bd, ua, c, lim=OracleLimits(), space=None):
+def oracle_potential_table(g, bd, ua, c, lim=OracleLimits(), space=None, sides=None):
     """Definitional potentials per pair id from a single enumeration.
 
     Equivalent to calling oracle_potential per pair but shares the BFS and
     the per-state capacity lists.  Returns None on truncation.  A
-    pre-computed StateSpace for c may be passed to share it further.
+    pre-computed StateSpace for c, and sides, per pair id the mask of its
+    side's interior, may be passed to share them further.
     """
     if space is None:
         space = enumerate_reachable(g, c, lim)
     if space.truncated:
         return None
-    # per pair id, the mask of its side's interior: G[p] without the base
-    sides = [mask_of(bd.side_vertices(p)) & ~(1 << p.base) for p in bd.pairs()]
+    if sides is None:  # the interior of each side: G[p] without the base
+        sides = [mask_of(bd.side_vertices(p)) & ~(1 << p.base) for p in bd.pairs()]
     best = None  # per pair id, the largest cap + interior tokens so far
     for mask in space.visited:
         caps = capacity_table(bd, ua, vertices_of(mask))

@@ -2,11 +2,12 @@
 
 Every line is stripped, tested for a comment, split, and each edge line's
 endpoints are parsed and range-checked as the line is read; the graph is
-checked edge by edge against a frozenset of (u, v) tuples.  parse_instance
-must raise the same exception (type, message, line) on every text, or
+checked edge by edge against a frozenset of (u, v) tuples.  Every count and
+id must match [0-9]+.  parse_instance must raise the same exception (type, message, line) on every text, or
 return the same graph and token sets.
 """
 
+import re
 from dataclasses import dataclass
 
 from blockslide import (
@@ -65,10 +66,13 @@ def reference_graph(n, edge_list):
 
 
 def _parse_int(token, lineno, what):
-    try:
-        return int(token)
-    except ValueError:
-        raise InstanceFormatError(f"expected integer {what}, got {token!r}", lineno)
+    """A run of ASCII digits, leading zeros allowed, as an int."""
+    if re.fullmatch(r"[0-9]+", token):
+        try:
+            return int(token)
+        except ValueError:  # past int()'s limit on digits
+            pass
+    raise InstanceFormatError(f"expected integer {what}, got {token!r}", lineno)
 
 
 def _parse_tokens(fields, lineno, which):
@@ -100,8 +104,6 @@ def reference_parse_instance(text):
                 raise InstanceFormatError("header must be 'p <n> <m>'", lineno)
             n = _parse_int(fields[1], lineno, "vertex count")
             m = _parse_int(fields[2], lineno, "edge count")
-            if n < 0 or m < 0:
-                raise InstanceFormatError("counts must be nonnegative", lineno)
             if n > MAX_VERTICES:
                 raise InstanceFormatError(f"more than {MAX_VERTICES} vertices", lineno)
             header_line = lineno

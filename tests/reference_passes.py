@@ -9,9 +9,16 @@ same sums once per node over the finished capacities, as the fixed point's
 start did.  reference_rigid counts each cut vertex's zero sides again over
 its list, where rigid_vertices reads the fixed point's running counts.  The
 running-total passes of blockslide must return the same lists and sets.
+
+reference_potentials is the fixed point's worklist seeded with every pair
+in the rooted order, and reference_short_pairs lists the pairs that lie
+below their equation, each summed afresh; compute_potentials seeds only
+the pairs the capacity pass can leave short, and must reach the same
+potentials, zeros and iteration_count.
 """
 
 from blockslide import InternalError
+from blockslide.potential import Potentials, _capacities, _constants
 
 
 def reference_depths(bd):
@@ -115,3 +122,61 @@ def reference_rigid(bd, ua, pot):
             raise InternalError(f"rigid vertex {u} violates ua/pot")
         rigid.append(u)
     return frozenset(rigid)
+
+
+def reference_potentials(bd, ua, c):
+    """The fixed point from the capacities, with every pair queued in the
+    rooted order at the start; ua is compute_ua's record."""
+    ix = bd.index()
+    node, into = ix.node, ix.into
+    const = _constants(bd, ua, c.vertices)
+    y, total, zeros = _capacities(bd, ua, const)
+    ua = ua.array
+    pending = ix.order[::-1]
+    queued = bytearray(b"\x01") * len(y)
+    increases = 0
+    while pending:
+        p = pending.pop()
+        queued[p] = 0
+        x, r = node[p], p ^ 1
+        if not p & 1:
+            candidate = total[x] - y[r] + const[p]
+        elif zeros[x] >= 2:
+            continue
+        else:
+            candidate = total[x] - (y[r] - ua[r]) + const[p]
+        if candidate <= y[p]:
+            continue
+        increases += 1
+        held = node[r]
+        total[held] += candidate - y[p]
+        if not p & 1 and y[p] == 0 and ua[p]:
+            zeros[held] -= 1
+        y[p] = candidate
+        for q in into[held]:
+            q ^= 1
+            if not queued[q]:
+                queued[q] = 1
+                pending.append(q)
+    return Potentials(y, increases + 1, zeros)
+
+
+def reference_short_pairs(bd, ua, const, y):
+    """The pair ids p with y(p) below the right-hand side of p's potential
+    equation, from the ua list, the constants of a token set and the
+    per-pair list y, with every node's sums taken afresh."""
+    ix = bd.index()
+    node = ix.node
+    total, zeros = reference_totals(bd, ua, y)
+    short = []
+    for p, x in enumerate(node):
+        r = p ^ 1
+        if not p & 1:
+            rhs = total[x] - y[r] + const[p]
+        elif zeros[x] >= 2:
+            continue
+        else:
+            rhs = total[x] - (y[r] - ua[r]) + const[p]
+        if rhs > y[p]:
+            short.append(p)
+    return short

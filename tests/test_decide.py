@@ -9,6 +9,7 @@ from blockslide import (
     NotIndependentError,
     Reason,
     TokenSet,
+    VertexOutOfRangeError,
     YES,
     compute_depths,
     connected_components,
@@ -74,6 +75,25 @@ def test_rejects_dependent_raw_sets(path3):
         decide(path3, [0, 1], [0, 2])
     with pytest.raises(NotIndependentError):
         decide(path3, [0, 2], [1, 2])
+
+
+def test_token_sets_of_another_graph_are_checked_again(path3):
+    """A TokenSet is independent in the graph it was built on; decide
+    checks one built on another graph again, on its own graph."""
+    empty = Graph(3, [])
+    with pytest.raises(NotIndependentError) as raised:
+        decide(path3, TokenSet(empty, [0, 1]), TokenSet(empty, [0, 2]))
+    assert raised.value.which == "source"
+    with pytest.raises(NotIndependentError) as raised:
+        decide(path3, TokenSet(path3, [0]), TokenSet(empty, [1, 2]))
+    assert raised.value.which == "target"
+    wider = Graph(5, [])
+    with pytest.raises(VertexOutOfRangeError) as raised:
+        decide(path3, TokenSet(path3, [0]), TokenSet(wider, [4]))
+    assert raised.value.vertex == 4
+    # an equal graph built apart gives the verdict of path3's own sets
+    twin = Graph(3, [(0, 1), (1, 2)])
+    assert decide(path3, TokenSet(twin, [0]), TokenSet(twin, [2])).reachable
 
 
 def test_accepts_raw_iterables(path3):

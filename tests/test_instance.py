@@ -105,6 +105,29 @@ def test_bad_integer():
         parse_instance("p two 0\ns\nt\n")
 
 
+@pytest.mark.parametrize("field", ["1_0", "+1", "-1", "\u0661", "1\u0660"])
+def test_integers_are_ascii_digits_only(field, tmp_path):
+    """int() reads each of these as a number; the format takes [0-9]+ only,
+    in a sparse text, a dense one and a token line alike."""
+    texts = [
+        (f"p 12 2\ne {field} 2\ne 2 3\ns 1\nt 3\n", 2, "endpoint"),
+        (f"p 3 2\ne 1 2\ne {field} 3\ns 1\nt 3\n", 3, "endpoint"),
+        (f"p 3 2\ne 1 2\ne 2 3\ns {field}\nt 3\n", 4, "source vertex"),
+        (f"p {field} 0\ns\nt\n", 1, "vertex count"),
+    ]
+    for text, line, what in texts:
+        with pytest.raises(InstanceFormatError) as exc:
+            parse_instance(text)
+        assert str(exc.value) == f"line {line}: expected integer {what}, got {field!r}"
+    path = tmp_path / "odd.ts"
+    path.write_text(texts[0][0], encoding="utf-8")
+    assert main(["decide", str(path)], out=io.StringIO()) == 2
+    # leading zeros stay allowed
+    inst = parse_instance("p 03 02\ne 01 002\ne 2 3\ns 001\nt 3\n")
+    assert inst.graph.edges == frozenset({(0, 1), (1, 2)})
+    assert inst.source.vertices == (0,)
+
+
 def test_out_of_range_vertices():
     with pytest.raises(VertexOutOfRangeError):
         parse_instance("p 2 1\ne 1 3\ns\nt\n")
@@ -294,8 +317,10 @@ def test_parse_matches_line_by_line_reference():
 
 def _layout_fault(rng, text):
     """The rendered text with one fault that keeps its layout of lines: an
-    endpoint or a token out of range, past int()'s digit limit or merely
-    odd (a sign, a leading zero, an underscore), a self-loop, an edge given
+    endpoint or a token out of range, past int()'s digit limit, in a syntax
+    int() takes but the format does not (a sign, an underscore, an
+    Arabic-Indic digit), or zero-padded, which the format allows, a
+    self-loop, an edge given
     twice, a header count that is off, a repeated or a dependent token, a
     wrong tag, a field moved to another edge line or to a line of its own,
     a blank line, a line break other than LF inside a line, extra spaces
@@ -305,7 +330,8 @@ def _layout_fault(rng, text):
     n, m = int(n), int(m)
     edges = lines[1:1 + m]
     tokens = lines[-2:]
-    odd = ["0", str(n + 1), str(n + 9), "9" * 30, "9" * 5000, "-1", "+1", "01", "1_0"]
+    odd = ["0", str(n + 1), str(n + 9), "9" * 30, "9" * 5000, "-1", "+1", "01", "1_0",
+           "\u0661"]
     kind = rng.randrange(16)
     if kind == 0 and edges:
         i = rng.randrange(m)
@@ -400,6 +426,30 @@ def line_walks(monkeypatch):
 
     monkeypatch.setattr(instance_module, "_parse_lines", counted)
     return calls
+
+
+def test_fields_that_miss_the_id_table_take_the_line_walk(line_walks):
+    """With n <= m the endpoint fields are looked up in one table of the
+    ids 1..n: a zero-padded id and one out of range miss it, and the line
+    walk then gives the reference's instance or error, the padded text
+    the instance of the plain one."""
+    texts = [
+        render_instance(inst) for inst in fuzz_corpus(60)
+        if 0 < inst.graph.n <= inst.graph.m
+    ]
+    assert len(texts) >= 20
+    for text in texts:
+        header, first, rest = text.split("\n", 2)
+        _, u, v = first.split()
+        n = int(header.split()[1])
+        padded = f"{header}\ne 0{u} {v}\n{rest}"
+        assert outcome(parse_instance, padded) == outcome(reference_parse_instance, text)
+        beyond = f"{header}\ne {u} {n + 1}\n{rest}"
+        got = outcome(parse_instance, beyond)
+        assert got == outcome(reference_parse_instance, beyond)
+        assert got[:3] == ("error", VertexOutOfRangeError, f"vertex {n + 1} out of range "
+                           f"for graph with {n} vertices")
+    assert len(line_walks) == 2 * len(texts)
 
 
 def test_rendered_instances_never_enter_the_line_walk(line_walks):

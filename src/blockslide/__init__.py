@@ -29,12 +29,7 @@ from .errors import (
     VertexOutOfRangeError,
 )
 from .gen import GenParams, SplitMix64, gen_block_graph, gen_independent_set
-from .graph import (
-    Graph,
-    TokenSet,
-    connected_components,
-    is_independent,
-)
+from .graph import Graph, TokenSet, connected_components
 from .instance import Instance, parse_instance, render_instance
 from .invariants import compute_depths, compute_ua
 from .oracle import (
@@ -66,7 +61,7 @@ __all__ = [
     # gen
     "GenParams", "SplitMix64", "gen_block_graph", "gen_independent_set",
     # graph
-    "Graph", "TokenSet", "connected_components", "is_independent",
+    "Graph", "TokenSet", "connected_components",
     # instance
     "Instance", "parse_instance", "render_instance",
     # invariants

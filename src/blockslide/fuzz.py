@@ -40,6 +40,10 @@ class FuzzEnvelope:
             raise InvalidParamsError("max_clique must be at least 2")
         if self.max_tokens < 0:
             raise InvalidParamsError("max_tokens must be nonnegative")
+        # gen_fuzz_instance drops blocks down to one, of up to max_clique
+        # vertices, and never cuts a block down.
+        if self.max_vertices is not None and self.max_vertices < self.max_clique:
+            raise InvalidParamsError("max_vertices must be at least max_clique")
 
 
 def gen_fuzz_instance(seed, env=FuzzEnvelope()):

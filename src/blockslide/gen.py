@@ -90,13 +90,13 @@ def gen_block_graph(params):
     return Graph(n, edges)
 
 
-def _packings(seed, g, restarts):
+def _packings(seed, g):
     """The maximal greedy packing of each restart, in restart order: the
     vertices of a shuffled order, each kept unless it neighbours a vertex
     kept before it.  The shuffles depend on the seed alone, and the first
     k vertices of a packing are what packing k vertices keeps."""
     rng = SplitMix64(seed)
-    for _ in range(restarts):
+    for _ in range(_RESTARTS):
         order = list(range(g.n))
         rng.shuffle(order)
         blocked = bytearray(g.n)  # chosen vertices and their neighbours
@@ -111,7 +111,7 @@ def _packings(seed, g, restarts):
         yield chosen
 
 
-def gen_independent_set(seed, g, size, restarts=_RESTARTS):
+def gen_independent_set(seed, g, size):
     """Shuffled greedy packing of `size` non-adjacent vertices.
 
     Not uniform over independent sets; returns None when packing keeps
@@ -119,7 +119,7 @@ def gen_independent_set(seed, g, size, restarts=_RESTARTS):
     """
     if size == 0:
         return TokenSet(g, [])
-    for chosen in _packings(seed, g, restarts):
+    for chosen in _packings(seed, g):
         if len(chosen) >= size:
             return TokenSet(g, chosen[:size])
     return None
@@ -132,8 +132,8 @@ def gen_token_sets(g, k, seed_src, seed_tgt):
     That size is k capped by the largest packing of either seed, so each
     seed's restarts are packed once, whatever k is.
     """
-    src = list(_packings(seed_src, g, _RESTARTS))
-    tgt = list(_packings(seed_tgt, g, _RESTARTS))
+    src = list(_packings(seed_src, g))
+    tgt = list(_packings(seed_tgt, g))
     k = min(k, max(map(len, src)), max(map(len, tgt)))
     if k <= 0:
         empty = TokenSet(g, [])

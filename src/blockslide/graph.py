@@ -180,15 +180,6 @@ class TokenSet:
         return f"TokenSet({list(self.vertices)})"
 
 
-def is_independent(g, s):
-    """True iff no edge of g joins two vertices of s."""
-    members = set()
-    for v in s:
-        g._check_vertex(v)
-        members.add(v)
-    return all(members.isdisjoint(g.adjacency[v]) for v in members)
-
-
 def connected_components(g, without=(), within=None):
     """Partition of the vertices of g not in `without` into the maximal
     connected vertex sets of g minus `without`, ordered by minimum vertex

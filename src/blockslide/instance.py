@@ -21,7 +21,6 @@ from dataclasses import dataclass
 from .errors import (
     BlockslideError,
     InstanceFormatError,
-    InternalError,
     MissingSectionError,
     VertexOutOfRangeError,
 )
@@ -40,9 +39,6 @@ class Instance:
     source: TokenSet
     target: TokenSet
 
-    def external_id(self, v):
-        return v + 1
-
 
 def _decimal(fields):
     """True iff every field is a run of ASCII digits, the one integer
@@ -53,7 +49,7 @@ def _decimal(fields):
 
 
 def _parse_int(token, lineno, what):
-    if _decimal((token,)):
+    if token.isascii() and token.isdigit():  # as _decimal, for one field
         try:
             return int(token)
         except ValueError:  # past int()'s limit on digits
@@ -73,28 +69,14 @@ def _parse_tokens(fields, lineno, which):
     return vs
 
 
-def _raise_edge_error(lines, n, start, stop=None):
-    """Raise the error of the first bad edge line among lines[start:stop],
-    checking each as the line is read: both endpoints must be integers,
-    then each must lie in 1..n.  The lines lie after the header, so every
-    'e' line of three fields there is one whose endpoints the loop kept."""
-    for lineno, raw in enumerate(lines[start:stop], start=start + 1):
-        fields = raw.split()
-        if len(fields) == 3 and fields[0] == "e":
-            u = _parse_int(fields[1], lineno, "endpoint")
-            v = _parse_int(fields[2], lineno, "endpoint")
-            for w in (u, v):
-                if not (1 <= w <= n):
-                    raise VertexOutOfRangeError(w, n)
-
-
 def parse_instance(text):
     """The Instance a text describes; the first error in line order raises.
 
     A text in the layout render_instance writes is read without a loop per
     line (see _parse_rendered).  Every other text, and every text that
-    fails one of that path's checks, goes through the line walk, the only
-    code that raises a parse error.
+    fails one of that path's checks, goes through the line walk, which
+    checks each line as it reads it and is the only code that raises a
+    parse error.
     """
     inst = _parse_rendered(text)
     return inst if inst is not None else _parse_lines(text)
@@ -209,92 +191,74 @@ def _parse_rendered(text):
 
 
 def _parse_lines(text):
-    """The line walk.
+    """The line walk: each line is checked as it is read, so the error
+    raised is the first one in line order.
 
     One str.split per line: a blank line splits to nothing, and a comment
-    is a line whose first field starts with '#'.  A well-formed edge line
-    only keeps its two endpoint fields.  They are converted and
-    range-checked in bulk after the loop; only when that fails, or another
-    line raises first, are the edge lines read so far walked again one by
-    one, so that an error on an earlier edge line still wins.
+    is a line whose first field starts with '#'.  An edge line's endpoints
+    are converted and range-checked on its line, and kept 0-based.
     """
     n = m = None
-    ends = []  # endpoint fields of the well-formed edge lines, two per line
-    add = ends.append
+    edges = []
+    add = edges.append
     source = None
     target = None
     header_line = None
-    try:
-        for lineno, raw in enumerate(text.splitlines(), start=1):
-            fields = raw.split()
-            if not fields:
-                continue
-            tag = fields[0]
-            if tag == "e" and len(fields) == 3 and n is not None:
-                add(fields[1])
-                add(fields[2])
-            elif tag[0] == "#":
-                continue
-            elif tag == "p":
-                if n is not None:
-                    raise InstanceFormatError("duplicate header line", lineno)
-                if len(fields) != 3:
-                    raise InstanceFormatError("header must be 'p <n> <m>'", lineno)
-                n = _parse_int(fields[1], lineno, "vertex count")
-                m = _parse_int(fields[2], lineno, "edge count")
-                if n > MAX_VERTICES:
-                    raise InstanceFormatError(f"more than {MAX_VERTICES} vertices", lineno)
-                header_line = lineno
-            elif tag == "e":
-                if n is None:
-                    raise InstanceFormatError("edge line before header", lineno)
-                raise InstanceFormatError("edge line must be 'e <u> <v>'", lineno)
-            elif tag == "s":
-                if source is not None:
-                    raise InstanceFormatError("duplicate source line", lineno)
-                source = _parse_tokens(fields[1:], lineno, "source")
-            elif tag == "t":
-                if target is not None:
-                    raise InstanceFormatError("duplicate target line", lineno)
-                target = _parse_tokens(fields[1:], lineno, "target")
-            else:
-                raise InstanceFormatError(f"unknown line tag {tag!r}", lineno)
-    except BlockslideError:
-        if header_line is not None:
-            _raise_edge_error(text.splitlines(), n, header_line, lineno - 1)
-        raise
-    del add  # so that rebinding ends frees the fields
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        fields = raw.split()
+        if not fields:
+            continue
+        tag = fields[0]
+        if tag == "e" and len(fields) == 3 and n is not None:
+            u = _parse_int(fields[1], lineno, "endpoint")
+            v = _parse_int(fields[2], lineno, "endpoint")
+            if not 1 <= u <= n:
+                raise VertexOutOfRangeError(u, n)
+            if not 1 <= v <= n:
+                raise VertexOutOfRangeError(v, n)
+            add((u - 1, v - 1))
+        elif tag[0] == "#":
+            continue
+        elif tag == "p":
+            if n is not None:
+                raise InstanceFormatError("duplicate header line", lineno)
+            if len(fields) != 3:
+                raise InstanceFormatError("header must be 'p <n> <m>'", lineno)
+            n = _parse_int(fields[1], lineno, "vertex count")
+            m = _parse_int(fields[2], lineno, "edge count")
+            if n > MAX_VERTICES:
+                raise InstanceFormatError(f"more than {MAX_VERTICES} vertices", lineno)
+            header_line = lineno
+        elif tag == "e":
+            if n is None:
+                raise InstanceFormatError("edge line before header", lineno)
+            raise InstanceFormatError("edge line must be 'e <u> <v>'", lineno)
+        elif tag == "s":
+            if source is not None:
+                raise InstanceFormatError("duplicate source line", lineno)
+            source = _parse_tokens(fields[1:], lineno, "source")
+        elif tag == "t":
+            if target is not None:
+                raise InstanceFormatError("duplicate target line", lineno)
+            target = _parse_tokens(fields[1:], lineno, "target")
+        else:
+            raise InstanceFormatError(f"unknown line tag {tag!r}", lineno)
 
-    if ends:
-        # Each distinct field is converted once: a vertex's id recurs on
-        # every edge line of its edges.
-        keys = set(ends)
-        try:
-            ids = dict(zip(keys, map(_ZERO_BASED, map(int, keys))))
-            bad = not _decimal(keys) or min(ids.values()) < 0 or max(ids.values()) >= n
-        except ValueError:
-            bad = True
-        if bad:
-            _raise_edge_error(text.splitlines(), n, header_line)
-            raise InternalError("bulk endpoint check failed on no edge line")
-        ends = list(map(ids.__getitem__, ends))
     if n is None:
         raise MissingSectionError("p")
-    if len(ends) != 2 * m:
+    if len(edges) != m:
         raise InstanceFormatError(
-            f"header promises {m} edges, found {len(ends) // 2}", header_line
+            f"header promises {m} edges, found {len(edges)}", header_line
         )
     if source is None:
         raise MissingSectionError("s")
     if target is None:
         raise MissingSectionError("t")
 
-    it = iter(ends)
-    graph = Graph(n, zip(it, it))  # consecutive ids paired up
-    for which, vs in (("source", source), ("target", target)):
-        for v in vs:
-            if not (1 <= v <= n):
-                raise VertexOutOfRangeError(v, n)
+    graph = Graph(n, edges)
+    for v in (*source, *target):
+        if not (1 <= v <= n):
+            raise VertexOutOfRangeError(v, n)
     src = TokenSet(graph, [v - 1 for v in source], which="source")
     tgt = TokenSet(graph, [v - 1 for v in target], which="target")
     return Instance(graph, src, tgt)

@@ -39,7 +39,6 @@ class OracleLimits:
 @dataclass
 class StateSpace:
     graph: object
-    start: TokenSet
     visited: set = field(default_factory=set)  # bitmask encodings
     truncated: bool = False
 
@@ -106,7 +105,7 @@ def enumerate_reachable(g, c, lim=OracleLimits(), stop_at=None):
     given, the search halts as soon as that state is visited.
     """
     deadline = time.monotonic() + lim.max_millis / 1000.0
-    space = StateSpace(graph=g, start=c)
+    space = StateSpace(graph=g)
     start = mask_of(c)
     space.visited.add(start)
     frontier = [start]

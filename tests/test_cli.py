@@ -255,10 +255,25 @@ def test_gen_negative_tokens_exit_2(capsys):
 
 @pytest.mark.parametrize("field, value", [
     ("max_blocks", 0), ("max_clique", 1), ("max_tokens", -1),
+    ("max_vertices", -3), ("max_vertices", 3),
 ])
 def test_fuzz_envelope_rejects_bad_bounds(field, value):
     with pytest.raises(InvalidParamsError):
         fuzz_mod.FuzzEnvelope(**{field: value})
+
+
+def test_fuzz_envelope_honours_max_vertices():
+    """A single block of max_clique vertices is the smallest graph the
+    generator shrinks to, so max_vertices may go down to max_clique."""
+    env = fuzz_mod.FuzzEnvelope(max_clique=4, max_vertices=4)
+    assert all(fuzz_mod.gen_fuzz_instance(seed, env).graph.n <= 4 for seed in range(40))
+
+
+def test_fuzz_max_vertices_below_max_clique_exit_2(capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert run(["fuzz", "--count", "3", "--max-vertices", "-1"]) == (2, "")
+    assert "max_vertices must be at least max_clique" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
 
 
 def test_requires_subcommand():

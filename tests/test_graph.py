@@ -14,7 +14,6 @@ from blockslide import (
     TokenSet,
     VertexOutOfRangeError,
     connected_components,
-    is_independent,
 )
 from blockslide.oracle import mask_of
 from conftest import fuzz_corpus
@@ -166,12 +165,6 @@ def test_token_set_error_carries_which(path3):
     with pytest.raises(NotIndependentError) as exc:
         TokenSet(path3, [0, 1], which="target")
     assert exc.value.which == "target"
-
-
-def test_is_independent(path3):
-    assert is_independent(path3, [0, 2])
-    assert not is_independent(path3, [1, 2])
-    assert is_independent(path3, [])
 
 
 def test_connected_components_ordering():

@@ -57,6 +57,10 @@ class BlockDecomposition:
     full collection walks each tracked object again; kept eagerly, the
     views would add one such object per block and per vertex.
 
+    component is the graph's list of per-vertex component indices, which
+    the same DFS fills.  A decomposition built by within() keeps the
+    members of some components only; members is then that subsequence.
+
     Pairs go by integer id (see PairIndex), and every per-pair result is a
     list indexed by it.  pairs() and pair_id convert between ids and Pair
     objects, which only the definitional queries (kappa, beta and the side
@@ -65,15 +69,15 @@ class BlockDecomposition:
     Immutable after construction; all queries are pure.
     """
 
-    def __init__(self, graph):
+    def __init__(self, graph, members=None):
         self.graph = graph
-        members = graph._blocks
-        if members is None:
-            blocks = _biconnected_blocks(graph)
+        if graph._blocks is None:
+            blocks, graph._component = _biconnected_blocks(graph)
             blocks.sort()
-            members = graph._blocks = tuple(blocks)
-        self.members = members
-        self._blocks = self._blocks_of = self._cut_vertices = None
+            graph._blocks = tuple(blocks)
+        self.members = graph._blocks if members is None else members
+        self.component = graph._component
+        self._blocks = self._blocks_of = self._cut_vertices = self._trees = None
         self._side_cache = {}
         self._index = None
         self._pairs = None
@@ -116,20 +120,36 @@ class BlockDecomposition:
             self._index = PairIndex(self)
         return self._index
 
+    @property
+    def trees(self):
+        """The number of connected components of the graph."""
+        if self._trees is None:
+            self._trees = 1 + max(self.component, default=-1)
+        return self._trees
+
     def components(self, holding=None):
-        """The vertex set of each tree of the block-cut forest: the
-        connected components of the graph, in order of least vertex.  Given
-        holding, one count per tree, a tree whose count is 0 gets None."""
-        ix = self.index()
-        if holding is None:
-            parts = [[] for _ in range(ix.trees)]
-        else:
-            parts = [[] if k else None for k in holding]
-        for b, i in zip(self.members, ix.tree):
-            part = parts[i]
+        """The vertex set of each connected component of the graph, in
+        order of least vertex; a component whose blocks a restriction
+        (see within) drops is empty.  Given holding, a container of
+        component indices, a component not in it gets None."""
+        label = self.component
+        parts = [[] if holding is None or i in holding else None for i in range(self.trees)]
+        for b in self.members:
+            part = parts[label[b[0]]]
             if part is not None:
                 part += b
         return [None if part is None else frozenset(part) for part in parts]
+
+    def within(self, kept):
+        """The decomposition of the components whose indices are in kept:
+        the same graph, and the blocks of those components only, in their
+        canonical order.  Its pairs, index, and every pass over them cover
+        those components alone; self if kept holds every component."""
+        if len(kept) == self.trees:
+            return self
+        label = self.component
+        members = tuple(b for b in self.members if label[b[0]] in kept)
+        return BlockDecomposition(self.graph, members)
 
     def pairs(self):
         """Both orientations of every tree edge, in canonical order: by
@@ -232,14 +252,10 @@ class PairIndex:
     container per vertex or per block for the garbage collector to walk.
     It is built from the member tuples with flat counting arrays: each cut
     vertex owns one run of pair ids, 2 per block holding it, and a pass
-    over the blocks in id order fills each run in canonical order.
-
-    tree[x] is the index of node x's tree in the block-cut forest, and
-    trees their number.  The trees are numbered in the order of their
-    lowest blocks, and the block holding a component's least vertex sorts
-    first among its blocks and before the blocks of every component with a
-    larger least vertex; so tree i spans the i-th connected component in
-    order of least vertex, and tree[node_of[v]] is v's component.
+    over the blocks in id order fills each run in canonical order.  The
+    cut vertices are collected by that pass, not by one over all n
+    vertices, so the index of a decomposition that within() restricted
+    costs time in its own blocks only, beyond three n-entry lists.
 
     order is one rooted order of each tree of the block-cut forest, rooted
     at its lowest block, in which every pair follows its dependencies.  Its
@@ -255,28 +271,30 @@ class PairIndex:
     p's position in order.
     """
 
-    __slots__ = (
-        "base", "block", "node", "into", "node_of", "tree", "trees", "order", "pos"
-    )
+    __slots__ = ("base", "block", "node", "into", "node_of", "order", "pos")
 
     def __init__(self, bd):
         members = bd.members
         count = [0] * bd.graph.n  # blocks holding each vertex
+        cuts = []  # each vertex once a second block holds it: no pass over n
         for b in members:
             for v in b:
+                if count[v] == 1:
+                    cuts.append(v)
                 count[v] += 1
+        cuts.sort()
         node_of = [0] * bd.graph.n
         start = [0] * bd.graph.n  # next free (B,u) id in cut vertex u's run
         base, odd_node, runs = [], [], []
         x = len(members)
-        for u, k in enumerate(count):
-            if k > 1:
-                p = start[u] = len(base)
-                node_of[u] = x
-                runs.append(tuple(range(p, p + 2 * k, 2)))
-                base += [u] * (2 * k)
-                odd_node += [x] * k
-                x += 1
+        for u in cuts:
+            k = count[u]
+            p = start[u] = len(base)
+            node_of[u] = x
+            runs.append(tuple(range(p, p + 2 * k, 2)))
+            base += [u] * (2 * k)
+            odd_node += [x] * k
+            x += 1
         block = [0] * len(base)
         into = []
         for bid, b in enumerate(members):
@@ -295,24 +313,21 @@ class PairIndex:
         node[1::2] = odd_node
 
         found = []  # first-half pairs in the order their node is reached
-        tree = [-1] * len(into)
-        trees = 0
+        seen = bytearray(len(into))
         for root in range(len(members)):
-            if tree[root] >= 0:
+            if seen[root]:
                 continue
-            tree[root] = trees
+            seen[root] = 1
             stack = [root]
             while stack:
                 for q in into[stack.pop()]:
                     child = node[q]
-                    if tree[child] < 0:
-                        tree[child] = trees
+                    if not seen[child]:
+                        seen[child] = 1
                         found.append(q)
                         stack.append(child)
-            trees += 1
         self.base, self.block, self.node = base, block, node
         self.into, self.node_of = tuple(into), node_of
-        self.tree, self.trees = tree, trees
         self.order = order = found[::-1] + [q ^ 1 for q in found]
         self.pos = pos = [0] * len(order)
         for i, p in enumerate(order):
@@ -320,8 +335,9 @@ class PairIndex:
 
 
 def _biconnected_blocks(graph):
-    """Maximal 2-connected vertex sets, as sorted tuples, via an iterative
-    Hopcroft-Tarjan DFS that stacks vertices rather than edges.
+    """Maximal 2-connected vertex sets, as sorted tuples, and per vertex
+    the index of its connected component, via an iterative Hopcroft-Tarjan
+    DFS that stacks vertices rather than edges.
 
     The DFS keeps `pending`, the discovered vertices not yet placed in a
     block, in discovery order, and two parallel stacks for the tree path
@@ -331,17 +347,25 @@ def _biconnected_blocks(graph):
     reaches above parent, so the slice of `pending` from u on forms one
     block with parent.  Isolated vertices become singleton blocks.  Linear
     in |V|+|E|, with no recursion.
+
+    Each search from a new root, in increasing vertex order, covers one
+    component, so the components are numbered in order of least vertex.
+    A vertex's low value is dead once it finishes, so the low list keeps
+    the component's index in its place and is returned as the labels.
     """
     adjacency = graph.adjacency
     disc = [-1] * graph.n
     low = [0] * graph.n
     blocks = []
     timer = 0
+    tree = -1
     for root, nbrs in enumerate(adjacency):
         if disc[root] != -1:
             continue
+        tree += 1
         if not nbrs:
             blocks.append((root,))
+            low[root] = tree
             continue
         disc[root] = low[root] = timer
         timer += 1
@@ -365,7 +389,7 @@ def _biconnected_blocks(graph):
                 if d < low_u:  # back edge, or the edge to u's parent
                     low_u = d
             else:  # u finished
-                low[u] = low_u
+                low[u] = tree
                 iters.pop()
                 k = marks.pop()
                 if not marks:
@@ -383,7 +407,7 @@ def _biconnected_blocks(graph):
                         blocks.append(tuple(block))
                 elif low_u < low[parent]:
                     low[parent] = low_u
-    return blocks
+    return blocks, low
 
 
 def decompose(g):

@@ -45,8 +45,8 @@ def cmd_potentials(args, out):
     "# component i" when there are several.
 
     One decomposition serves every component, since no equation reaches
-    across components; the components are the trees of its block-cut
-    forest.  A component's lines keep the global pair order, and
+    across components; the block DFS labels each vertex with its
+    component.  A component's lines keep the global pair order, and
     its block ids are the ranks of its blocks' global ids: relabelling a
     component's vertices in order keeps the canonical order of its blocks.
     """
@@ -61,9 +61,9 @@ def cmd_potentials(args, out):
     pot = compute_potentials(bd, ua, tokens)
 
     ix = bd.index()
-    tree = ix.tree[:len(bd.members)]  # per block, its component's index
+    tree = [bd.component[b[0]] for b in bd.members]  # per block, its component
     local = []  # block id within its component
-    seen = [0] * ix.trees
+    seen = [0] * bd.trees
     for i in tree:
         local.append(seen[i])
         seen[i] += 1
@@ -73,7 +73,7 @@ def cmd_potentials(args, out):
         arrow = f"{u + 1}->B{local[b]}" if p & 1 else f"B{local[b]}->{u + 1}"
         lines[tree[b]].append(f"pot {arrow} = {x} ua={int(a)} d={d}")
     for idx, rows in enumerate(lines):
-        if ix.trees > 1:
+        if bd.trees > 1:
             print(f"# component {idx}", file=out)
         for row in rows:
             print(row, file=out)

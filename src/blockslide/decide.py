@@ -6,6 +6,20 @@ Two token sets on a block graph, connected or not, are inter-reachable
 exactly when their rigid sets coincide and, after removing the rigid
 vertices, every remaining component holds the same number of tokens from
 each set.
+
+Only a component holding two tokens or more can have a rigid vertex, so
+decide builds the pair index and runs the passes over those components'
+blocks alone.  The potentials are at least 0 and satisfy the (B,u)
+equation, so
+
+    y(B,u) = sum of y(v,B) over v in kappa(B,u) + ua(B,u) - tokens of B but u
+           >= ua(B,u) - tokens of B but u.
+
+A side (B,u) at potential 0 with ua True therefore holds a token of B
+other than u.  A rigid vertex u has two such sides (B,u) and (B',u), and
+B and B' share no vertex but u, so its component holds two tokens.  A
+component with one token has no rigid vertex and stays one part, which
+holds its one token of each set: it is reachable, as one with none is.
 """
 
 from __future__ import annotations
@@ -72,41 +86,54 @@ def _parts_after(g, comp, rigid, c1, c2):
     ]
 
 
+def _per_component(label, c):
+    """Per index of a component holding tokens of c, their number."""
+    counts = {}
+    for v in c:
+        i = label[v]
+        counts[i] = counts.get(i, 0) + 1
+    return counts
+
+
 def decide_connected(g, bd, c1, c2):
     """Verdict for two same-size token sets on a block graph g, connected
     or not, with bd = decompose(g).
 
-    A component's verdict never depends on another component, so depth,
-    ua, potentials and rigid sets are each taken once over the whole
-    block-cut forest, and the components are its trees.  The verdict is
-    UNEQUAL_SIZE with details "per_component" when some component holds
-    more tokens of one set.  Otherwise details["components"] lists
-    (vertex set, Verdict) for each component with tokens, in order of
-    least vertex, up to the first that is not reachable; each such Verdict
-    has the component's rigid sets and, when they agree, the token counts
-    of each component left after removing them.
+    A component's verdict never depends on another component.  The tokens
+    are counted per component from the component labels of the block DFS,
+    before any pair index exists.  The verdict is UNEQUAL_SIZE with
+    details "per_component" when some component holds more tokens of one
+    set.  Otherwise depth, ua, potentials and rigid sets are each taken
+    once, over the block-cut trees of the components holding two tokens
+    or more (see the module docstring); the others have no rigid vertex.
+    details["components"] lists (vertex set, Verdict) for each component
+    with tokens, in order of least vertex, up to the first that is not
+    reachable; each such Verdict has the component's rigid sets and, when
+    they agree, the token counts of each component left after removing
+    them.
     """
     if len(c1) != len(c2):
         raise ValueError("decide_connected requires equal-size token sets")
-    ix = bd.index()
-    tree, node_of = ix.tree, ix.node_of
-    n1 = [0] * ix.trees
-    n2 = [0] * ix.trees
-    for v in c1:
-        n1[tree[node_of[v]]] += 1
-    for v in c2:
-        n2[tree[node_of[v]]] += 1
+    label = bd.component
+    n1, n2 = _per_component(label, c1), _per_component(label, c2)
     if n1 != n2:
-        counts = list(zip(bd.components(), n1, n2))
+        counts = [
+            (comp, n1.get(i, 0), n2.get(i, 0)) for i, comp in enumerate(bd.components())
+        ]
         return Verdict(False, Reason.UNEQUAL_SIZE, {"per_component": counts})
-    depths = compute_depths(bd)
-    ua = compute_ua(bd, depths)
-    w1 = rigid_vertices(bd, ua, compute_potentials(bd, ua, c1))
-    w2 = rigid_vertices(bd, ua, compute_potentials(bd, ua, c2))
+    kept = {i for i, k in n1.items() if k > 1}
+    w1 = w2 = frozenset()
+    if kept:
+        pruned = bd.within(kept)
+        t1 = [v for v in c1 if label[v] in kept]
+        t2 = [v for v in c2 if label[v] in kept]
+        ua = compute_ua(pruned, compute_depths(pruned))
+        w1 = rigid_vertices(pruned, ua, compute_potentials(pruned, ua, t1))
+        w2 = rigid_vertices(pruned, ua, compute_potentials(pruned, ua, t2))
     details = {"components": []}
-    for i, comp in enumerate(bd.components(n1)):
-        if comp is None:  # no tokens
-            continue
+    comps = bd.components(n1)
+    for i in sorted(n1):  # the components with tokens
+        comp = comps[i]
         rigid = w1 & comp
         sub = {"rigid_source": rigid, "rigid_target": w2 & comp}
         if rigid != sub["rigid_target"]:
@@ -136,8 +163,9 @@ def decide(g, c1, c2):
     c1 and c2 are TokenSets or iterables of vertices, each read once.
     Validates the block-graph property and independence, short-circuits on
     unequal token counts, and decides every component in one pass over the
-    block-cut forest of g (see decide_connected).  A TokenSet checked on
-    another graph than g is checked again on g.
+    block-cut trees of g that hold two tokens or more (see
+    decide_connected).  A TokenSet checked on another graph than g is
+    checked again on g.
     """
     if not is_block_graph(g):
         raise NotABlockGraphError("input graph has a non-clique block")

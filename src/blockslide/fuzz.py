@@ -76,6 +76,9 @@ def evaluate_instance(inst, lim=OracleLimits()):
 
     Violations are tagged with a category so harnesses can tally them:
     decision, potential, capacity, fixedpoint, iteration, rigid, truncated.
+    Under rigid, besides the oracle's never-token set, every (B,u) at
+    potential 0 with ua must hold a token of B other than u: decide's
+    pruning of the trees with fewer than two tokens rests on it.
     Per-pair values are read by pair id.  Each pair's dependencies come from
     the closed forms kappa and beta, not from the pair index that the
     solver's passes walk, so the equations are checked independently of it.
@@ -139,6 +142,10 @@ def evaluate_instance(inst, lim=OracleLimits()):
                     failures.append(("fixedpoint", f"{name}: negative fixed-point operand at {p}"))
                 if x != rhs:
                     failures.append(("fixedpoint", f"{name}: fixed-point equation fails at {p}"))
+                if x == 0 and a[i] and not in_block:
+                    failures.append(
+                        ("rigid", f"{name}: {p} at 0 with ua holds no token of its block")
+                    )
                 inside -= in_block
             elif sum(1 for j in incident[u] if y[j] == 0 and a[j]) >= 2:
                 if x != 0:

@@ -29,10 +29,12 @@ class Graph:
     count; the edge set is derived from adjacency only when read.
     _blocks holds the canonically sorted member tuples of the blocks, which
     blockslide.blocks builds on the first decomposition and every later one
-    reads: int tuples only, so the cache refers back to nothing.
+    reads: int tuples only, so the cache refers back to nothing.  The same
+    search fills _component, per vertex the index of its connected
+    component in order of least vertex.
     """
 
-    __slots__ = ("n", "m", "adjacency", "_edges", "_blocks")
+    __slots__ = ("n", "m", "adjacency", "_edges", "_blocks", "_component")
 
     def __init__(self, n, edge_list):
         if n < 0:
@@ -71,7 +73,7 @@ class Graph:
             raise _first_fault(n, edge_list)
         self.m = ends // 2
         self.adjacency = tuple(adjacency)
-        self._edges = self._blocks = None
+        self._edges = self._blocks = self._component = None
 
     @property
     def edges(self):

@@ -27,9 +27,10 @@ from .errors import (
 from .graph import Graph, TokenSet
 
 # The largest vertex count a header may declare.  Graph holds a pointer per
-# vertex, isolated ones too, and decide a few arrays of n entries: at this
-# limit, parsing a header with no edges peaks at 16 MB (tracemalloc), and
-# deciding it at 240 MB resident.
+# vertex, isolated ones too, and the block DFS a few arrays of n entries and
+# a block per isolated vertex: at this limit, parsing a header with no edges
+# peaks at 16 MB (tracemalloc), and deciding it takes about 0.65 s at 175 MB
+# resident (Python 3.11.7).
 MAX_VERTICES = 1 << 20
 
 

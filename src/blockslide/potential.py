@@ -125,12 +125,14 @@ def capacity_table(bd, ua, c):
 
 
 def compute_potentials(bd, ua, c):
-    """Fixed-point potentials per pair id, the number of increases plus
-    one, and the zero counts per node, as a Potentials record.  The host
-    graph may be disconnected: no equation reaches across components."""
+    """Fixed-point potentials per pair id for the token set C, a TokenSet
+    or any iterable of distinct vertices of bd's blocks; the number of
+    increases plus one; and the zero counts per node, as a Potentials
+    record.  The host graph may be disconnected: no equation reaches
+    across components."""
     ix = bd.index()
     node, into, order, pos = ix.node, ix.into, ix.order, ix.pos
-    const = _constants(bd, ua, c.vertices)
+    const = _constants(bd, ua, c)
     y, total, zeros = _capacities(bd, ua, const)  # kept running as y grows
     ua = ua.array
 

@@ -2,11 +2,10 @@
 
 The graph keeps the member tuples its first decomposition builds, so
 decide, `blockslide potentials` and the fuzz checks run the DFS once per
-graph.  The trees of the forest, numbered by the pair index's rooted walk,
-are the connected components in order of least vertex; the fixed point's
-per-node zero counts give the rigid vertices.  Each is checked against
-the BFS of connected_components or against the recount of
-reference_passes.
+graph.  The same DFS labels each vertex with its connected component, in
+order of least vertex; the fixed point's per-node zero counts give the
+rigid vertices.  Each is checked against the BFS of connected_components
+or against the recount of reference_passes.
 """
 
 import io
@@ -105,18 +104,17 @@ def component_labels(g, components):
 
 
 def check_trees(g):
-    """The forest's trees, as vertex sets and as per-vertex labels, equal
-    the components the BFS finds, in the same order."""
+    """The block DFS's component labels, and the vertex sets read off
+    them, equal the components the BFS finds, in the same order."""
     bd = decompose(g)
-    ix = bd.index()
     comps = connected_components(g)
-    assert ix.trees == len(comps)
+    assert bd.trees == len(comps)
     assert bd.components() == comps
-    labels = [ix.tree[x] for x in ix.node_of]
-    assert labels == component_labels(g, comps)
-    assert all(ix.tree[b] == labels[m[0]] for b, m in enumerate(bd.members))
-    holding = [i % 3 for i in range(len(comps))]
-    assert bd.components(holding) == [c if k else None for c, k in zip(comps, holding)]
+    assert bd.component == component_labels(g, comps)
+    holding = {i for i in range(len(comps)) if i % 3}
+    assert bd.components(holding) == [
+        c if i in holding else None for i, c in enumerate(comps)
+    ]
 
 
 @pytest.mark.parametrize("start", range(0, 12_000, 2_000))

@@ -70,3 +70,33 @@ def test_injected_fault_is_reported_under_its_category(category, monkeypatch):
     report = evaluate_instance(inst)
     assert report.violations
     assert {found for found, _ in report.violations} == {category}
+
+
+def zero_sides_off_tokens(monkeypatch):
+    """Every (B,u) with ua whose block holds no token but u is put at
+    potential 0, which only a rigid vertex's sides may be."""
+    original = fuzz_mod.compute_potentials
+
+    def compute_potentials(bd, ua, c):
+        pot = original(bd, ua, c)
+        ix = bd.index()
+        for p in range(0, len(pot.array), 2):
+            block = bd.members[ix.block[p]]
+            if ua.array[p] and not any(v in c for v in block if v != ix.base[p]):
+                pot.array[p] = 0
+        return pot
+
+    monkeypatch.setattr(fuzz_mod, "compute_potentials", compute_potentials)
+
+
+def test_zero_side_without_a_token_is_reported(monkeypatch):
+    """The check decide's pruning rests on fires under rigid.  The faulty
+    potentials break their equations too, so other categories fire with
+    it."""
+    inst = gen_fuzz_instance(SEED)
+    zero_sides_off_tokens(monkeypatch)
+    report = evaluate_instance(inst)
+    assert any(
+        found == "rigid" and "holds no token of its block" in message
+        for found, message in report.violations
+    )

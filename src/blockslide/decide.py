@@ -43,6 +43,20 @@ class Reason(Enum):
 
 @dataclass(frozen=True)
 class Verdict:
+    """A yes/no answer, the reason that decided it, and one flat details
+    dict in the caller's vertex ids; components and parts are frozensets.
+
+    - UNEQUAL_SIZE: {"sizes": (k1, k2)} when the totals differ, else
+      {"component": comp, "counts": (a, b)} for the first component, in
+      order of least vertex, whose counts differ.
+    - Any other reason: {"rigid_source": R1, "rigid_target": R2,
+      "component_counts": [(part, a, b), ...]}, the rigid sets of the whole
+      graph and each set's tokens per part after removing R1, for the
+      components holding tokens in order of least vertex.  A NO stops the
+      list after the component that decided it, which it adds as
+      "component"; a RIGID_MISMATCH component lists no parts.
+    """
+
     reachable: bool
     reason: Reason
     details: dict = field(default_factory=dict)
@@ -86,41 +100,29 @@ def _parts_after(g, comp, rigid, c1, c2):
     ]
 
 
-def _per_component(label, c):
-    """Per index of a component holding tokens of c, their number."""
-    counts = {}
-    for v in c:
-        i = label[v]
-        counts[i] = counts.get(i, 0) + 1
-    return counts
-
-
 def decide_connected(g, bd, c1, c2):
     """Verdict for two same-size token sets on a block graph g, connected
     or not, with bd = decompose(g).
 
     A component's verdict never depends on another component.  The tokens
     are counted per component from the component labels of the block DFS,
-    before any pair index exists.  The verdict is UNEQUAL_SIZE with
-    details "per_component" when some component holds more tokens of one
-    set.  Otherwise depth, ua, potentials and rigid sets are each taken
-    once, over the block-cut trees of the components holding two tokens
-    or more (see the module docstring); the others have no rigid vertex.
-    details["components"] lists (vertex set, Verdict) for each component
-    with tokens, in order of least vertex, up to the first that is not
-    reachable; each such Verdict has the component's rigid sets and, when
-    they agree, the token counts of each component left after removing
-    them.
+    before any pair index exists; unequal counts give UNEQUAL_SIZE.  Depth,
+    ua, potentials and rigid sets are then each taken once, over the
+    block-cut trees of the components holding two tokens or more (see the
+    module docstring).  The first component with tokens, in order of least
+    vertex, that is not reachable gives the reason.
     """
     if len(c1) != len(c2):
         raise ValueError("decide_connected requires equal-size token sets")
     label = bd.component
-    n1, n2 = _per_component(label, c1), _per_component(label, c2)
+    n1, n2 = {}, {}  # per index of a component holding tokens, their number
+    for counts, c in ((n1, c1), (n2, c2)):
+        for v in c:
+            counts[label[v]] = counts.get(label[v], 0) + 1
     if n1 != n2:
-        counts = [
-            (comp, n1.get(i, 0), n2.get(i, 0)) for i, comp in enumerate(bd.components())
-        ]
-        return Verdict(False, Reason.UNEQUAL_SIZE, {"per_component": counts})
+        i = min(i for i in n1.keys() | n2.keys() if n1.get(i) != n2.get(i))
+        details = {"component": bd.components({i})[i], "counts": (n1.get(i, 0), n2.get(i, 0))}
+        return Verdict(False, Reason.UNEQUAL_SIZE, details)
     kept = {i for i, k in n1.items() if k > 1}
     w1 = w2 = frozenset()
     if kept:
@@ -130,30 +132,23 @@ def decide_connected(g, bd, c1, c2):
         ua = compute_ua(pruned, compute_depths(pruned))
         w1 = rigid_vertices(pruned, ua, compute_potentials(pruned, ua, t1))
         w2 = rigid_vertices(pruned, ua, compute_potentials(pruned, ua, t2))
-    details = {"components": []}
+    details = {"rigid_source": w1, "rigid_target": w2, "component_counts": []}
     comps = bd.components(n1)
     for i in sorted(n1):  # the components with tokens
         comp = comps[i]
         rigid = w1 & comp
-        sub = {"rigid_source": rigid, "rigid_target": w2 & comp}
-        if rigid != sub["rigid_target"]:
+        if rigid != w2 & comp:
             reason = Reason.RIGID_MISMATCH
         else:
             # Only a component holding a rigid vertex splits; any other is
             # its own one part.
-            if rigid:
-                parts = _parts_after(g, comp, rigid, c1, c2)
-            else:
-                parts = [(comp, n1[i], n2[i])]
-            sub["component_counts"] = parts
-            if any(a != b for _, a, b in parts):
-                reason = Reason.COMPONENT_COUNT_MISMATCH
-            else:
-                reason = Reason.REACHABLE
-        verdict = Verdict(reason is Reason.REACHABLE, reason, sub)
-        details["components"].append((comp, verdict))
-        if not verdict.reachable:
-            return Verdict(False, reason, details)
+            parts = _parts_after(g, comp, rigid, c1, c2) if rigid else [(comp, n1[i], n2[i])]
+            details["component_counts"] += parts
+            if all(a == b for _, a, b in parts):
+                continue
+            reason = Reason.COMPONENT_COUNT_MISMATCH
+        details["component"] = comp
+        return Verdict(False, reason, details)
     return Verdict(True, Reason.REACHABLE, details)
 
 
@@ -162,10 +157,8 @@ def decide(g, c1, c2):
 
     c1 and c2 are TokenSets or iterables of vertices, each read once.
     Validates the block-graph property and independence, short-circuits on
-    unequal token counts, and decides every component in one pass over the
-    block-cut trees of g that hold two tokens or more (see
-    decide_connected).  A TokenSet checked on another graph than g is
-    checked again on g.
+    unequal token counts, and decides every component with decide_connected.
+    A TokenSet checked on another graph than g is checked again on g.
     """
     if not is_block_graph(g):
         raise NotABlockGraphError("input graph has a non-clique block")

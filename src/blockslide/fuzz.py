@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .blocks import decompose
-from .decide import decide, rigid_vertices
+from .decide import Reason, decide, rigid_vertices
 from .errors import InvalidParamsError
 from .gen import GenParams, SplitMix64, gen_block_graph, gen_token_sets
 from .instance import Instance
@@ -78,7 +78,8 @@ def evaluate_instance(inst, lim=OracleLimits()):
     decision, potential, capacity, fixedpoint, iteration, rigid, truncated.
     Under rigid, besides the oracle's never-token set, every (B,u) at
     potential 0 with ua must hold a token of B other than u: decide's
-    pruning of the trees with fewer than two tokens rests on it.
+    pruning of the trees with fewer than two tokens rests on it, and its
+    rigid sets must equal those of the full forest.
     Per-pair values are read by pair id.  Each pair's dependencies come from
     the closed forms kappa and beta, not from the pair index that the
     solver's passes walk, so the equations are checked independently of it.
@@ -190,23 +191,28 @@ def evaluate_instance(inst, lim=OracleLimits()):
                      f"{name}: potential mismatch at {p}: algorithm {x}, oracle {o}")
                 )
 
-    rigid1 = rigid_vertices(bd, ua, pots[0])
-    rigid2 = rigid_vertices(bd, ua, pots[1])
-    never1 = never_token_vertices(space1)
-    never2 = never_token_vertices(space2)
-    if not rigid1 <= never1:
-        failures.append(("rigid", f"rigid set {sorted(rigid1)} not within never-token set"))
-    if not rigid2 <= never2:
-        failures.append(("rigid", f"rigid set {sorted(rigid2)} not within never-token set"))
-    if oracle_yes and rigid1 != rigid2:
+    spaces = (space1, space2)
+    rigids = [rigid_vertices(bd, ua, pot) for pot in pots]
+    for rigid, space in zip(rigids, spaces):
+        if not rigid <= never_token_vertices(space):
+            failures.append(("rigid", f"rigid set {sorted(rigid)} not within never-token set"))
+    if oracle_yes and rigids[0] != rigids[1]:
         failures.append(("rigid", "reachable sets have different rigid sets"))
+    details = verdict.details
+    if "rigid_source" in details and [details["rigid_source"], details["rigid_target"]] != rigids:
+        failures.append(("rigid", "decide's rigid sets differ from the full forest's"))
+    # A NO proof without potentials: the part's count is the same in every
+    # state each set reaches.
+    if verdict.reason is Reason.COMPONENT_COUNT_MISMATCH:
+        part, *counts = next(t for t in details["component_counts"] if t[1] != t[2])
+        mask = mask_of(part)
+        for name, k, space in zip(("source", "target"), counts, spaces):
+            if any((s & mask).bit_count() != k for s in space.visited):
+                failures.append(
+                    ("decision", f"{name}: part {sorted(part)} does not hold {k} tokens in every state")
+                )
 
     return InstanceReport(failures, oracle_yes=oracle_yes, verdict=verdict)
-
-
-def check_instance(inst, lim=OracleLimits()):
-    """Violation messages for one instance; empty means all checks passed."""
-    return evaluate_instance(inst, lim).messages()
 
 
 def run_fuzz(count, env=FuzzEnvelope(), seed=0, lim=OracleLimits(), on_failure=None):
@@ -218,7 +224,7 @@ def run_fuzz(count, env=FuzzEnvelope(), seed=0, lim=OracleLimits(), on_failure=N
         raise InvalidParamsError("count must be nonnegative")
     for i in range(count):
         inst = gen_fuzz_instance(seed + i, env)
-        failures = check_instance(inst, lim)
+        failures = evaluate_instance(inst, lim).messages()
         if failures:
             if on_failure is not None:
                 on_failure(seed + i, inst, failures)

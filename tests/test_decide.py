@@ -124,9 +124,12 @@ def test_disconnected_per_component_counts():
     v = decide(g, TokenSet(g, [0]), TokenSet(g, [3]))
     assert not v.reachable
     assert v.reason is Reason.UNEQUAL_SIZE
-    assert v.details["per_component"] == [
-        (frozenset({0, 1, 2}), 1, 0), (frozenset({3, 4, 5}), 0, 1)
-    ]
+    assert v.details == {"component": frozenset({0, 1, 2}), "counts": (1, 0)}
+    # the first component in order of least vertex whose counts differ
+    v = decide(g, TokenSet(g, [0, 5]), TokenSet(g, [3, 5]))
+    assert v.details == {"component": frozenset({0, 1, 2}), "counts": (1, 0)}
+    v = decide(g, TokenSet(g, [1, 3]), TokenSet(g, [0, 2]))
+    assert v.details == {"component": frozenset({0, 1, 2}), "counts": (1, 2)}
     # matching per-component counts: both components slide internally
     v = decide(g, TokenSet(g, [0, 3]), TokenSet(g, [2, 5]))
     assert v.reachable
@@ -140,7 +143,16 @@ def test_decide_connected_requires_equal_sizes(path3):
 
 def test_verdict_details_present(star):
     v = decide(star, TokenSet(star, [1, 2]), TokenSet(star, [1, 3]))
-    assert "components" in v.details
+    # the leaf tokens pin the centre, and the leaves' counts differ
+    assert v.reason is Reason.COMPONENT_COUNT_MISMATCH
+    assert v.details == {
+        "rigid_source": {0},
+        "rigid_target": {0},
+        "component_counts": [
+            (frozenset({1}), 1, 1), (frozenset({2}), 1, 0), (frozenset({3}), 0, 1)
+        ],
+        "component": {0, 1, 2, 3},
+    }
 
 
 def test_component_details_use_original_ids():
@@ -148,14 +160,15 @@ def test_component_details_use_original_ids():
     g = Graph(8, [(0, 1), (1, 2), (2, 3), (4, 5), (4, 6), (4, 7)])
     v = decide(g, [0, 5, 6], [0, 5, 6])
     assert v.reachable
-    (path, path_verdict), (star, star_verdict) = v.details["components"]
-    assert path == {0, 1, 2, 3} and star == {4, 5, 6, 7}
-    assert path_verdict.details["rigid_source"] == frozenset()
-    assert star_verdict.details["rigid_source"] == frozenset({4})
-    assert star_verdict.details["rigid_target"] == frozenset({4})
-    assert star_verdict.details["component_counts"] == [
-        (frozenset({5}), 1, 1), (frozenset({6}), 1, 1), (frozenset({7}), 0, 0)
-    ]
+    # the path holds one token, so it has no rigid vertex and is one part
+    assert v.details == {
+        "rigid_source": frozenset({4}),
+        "rigid_target": frozenset({4}),
+        "component_counts": [
+            (frozenset({0, 1, 2, 3}), 1, 1),
+            (frozenset({5}), 1, 1), (frozenset({6}), 1, 1), (frozenset({7}), 0, 0),
+        ],
+    }
 
 
 def test_decide_copies_no_subgraph(monkeypatch):
@@ -169,7 +182,8 @@ def test_decide_copies_no_subgraph(monkeypatch):
     assert decide(g, [0, 3, 7, 8], [2, 5, 7, 8]).reachable
     v = decide(g, [0, 3, 7, 8], [2, 5, 7, 9])
     assert v.reason is Reason.COMPONENT_COUNT_MISMATCH
-    assert v.details["components"][-1][1].details["rigid_source"] == {6}
+    assert v.details["component"] == {6, 7, 8, 9}
+    assert v.details["rigid_source"] == v.details["rigid_target"] == {6}
 
 
 def test_decide_reads_no_edge_set(monkeypatch):
@@ -223,12 +237,8 @@ def test_decision_matches_oracle_sample(idx):
 def test_rigid_sets_equal_when_reachable(idx):
     inst = CORPUS[idx]
     v = decide(inst.graph, inst.source, inst.target)
-    for comp, sub_verdict in v.details.get("components", []):
-        if v.reachable:
-            assert (
-                sub_verdict.details["rigid_source"]
-                == sub_verdict.details["rigid_target"]
-            )
+    if v.reachable:
+        assert v.details["rigid_source"] == v.details["rigid_target"]
 
 
 def _decide_path_peak(n):
@@ -256,7 +266,8 @@ def test_memory_grows_linearly():
 def test_parts_split_only_components_with_rigid_vertices(corpus):
     """A component's parts, as the search over the whole graph minus the
     rigid vertices finds them, for fuzz seeds 0..2999 and the shuffled
-    unions; every component verdict lists exactly those."""
+    unions; the verdict lists exactly those of each component with
+    tokens, in order of least vertex, up to the component that decides."""
     if corpus == "fuzz":
         insts = fuzz_corpus(3000)
     else:
@@ -265,15 +276,23 @@ def test_parts_split_only_components_with_rigid_vertices(corpus):
     for inst in insts:
         g, c1, c2 = inst.graph, inst.source, inst.target
         verdict = decide(g, c1, c2)
-        for comp, sub in verdict.details.get("components", []):
-            if "component_counts" not in sub.details:
+        if "rigid_source" not in verdict.details:
+            continue
+        rigid = verdict.details["rigid_source"]
+        decided = verdict.details.get("component")
+        expected = []
+        for comp in connected_components(g):
+            if comp.isdisjoint(c1):
                 continue
-            rigid = sub.details["rigid_source"]
-            expected = [
+            if comp == decided and verdict.reason is Reason.RIGID_MISMATCH:
+                break  # lists no parts
+            expected += [
                 (part, sum(v in part for v in c1), sum(v in part for v in c2))
                 for part in connected_components(g, without=rigid)
                 if part <= comp
             ]
-            assert sub.details["component_counts"] == expected
-            split += bool(rigid)
+            split += not rigid.isdisjoint(comp)
+            if comp == decided:
+                break
+        assert verdict.details["component_counts"] == expected
     assert split > 10

@@ -1,13 +1,17 @@
 """Fault injection into evaluate_instance: a fault in what one category
 checks is reported under that category and no other."""
 
+import importlib
 from collections import defaultdict
 
 import pytest
 
 import blockslide.fuzz as fuzz_mod
-from blockslide import BlockDecomposition
+from blockslide import BlockDecomposition, Reason
 from blockslide.fuzz import evaluate_instance, gen_fuzz_instance
+
+# The package attribute blockslide.decide is the function.
+decide_mod = importlib.import_module("blockslide.decide")
 
 
 def oracle_from_empty_start(monkeypatch):
@@ -100,3 +104,39 @@ def test_zero_side_without_a_token_is_reported(monkeypatch):
         found == "rigid" and "holds no token of its block" in message
         for found, message in report.violations
     )
+
+
+def test_decide_rigid_set_off_the_full_forest_is_reported(monkeypatch):
+    """decide's pruned rigid sets are compared with those of the full
+    forest: on a YES instance with a rigid vertex, decide losing the least
+    one still answers YES, and only that check fires."""
+    inst = gen_fuzz_instance(0)
+    report = evaluate_instance(inst)
+    assert report.violations == [] and report.verdict.details["rigid_source"]
+    original = decide_mod.rigid_vertices
+
+    def rigid_vertices(bd, ua, pot):
+        rigid = original(bd, ua, pot)
+        return rigid - {min(rigid)} if rigid else rigid
+
+    monkeypatch.setattr(decide_mod, "rigid_vertices", rigid_vertices)
+    report = evaluate_instance(inst)
+    assert report.verdict.reachable
+    assert report.violations == [("rigid", "decide's rigid sets differ from the full forest's")]
+
+
+def test_count_mismatch_on_a_part_that_varies_is_reported(monkeypatch):
+    """A COMPONENT_COUNT_MISMATCH names a part whose count each set's
+    states keep.  decide calling every cut vertex rigid turns a true
+    RIGID_MISMATCH into a COMPONENT_COUNT_MISMATCH: still NO, so the
+    oracle's answer agrees, but the part's count varies."""
+    inst = gen_fuzz_instance(26)
+    report = evaluate_instance(inst)
+    assert report.violations == [] and report.verdict.reason is Reason.RIGID_MISMATCH
+    monkeypatch.setattr(
+        decide_mod, "rigid_vertices", lambda bd, ua, pot: frozenset(bd.cut_vertices)
+    )
+    report = evaluate_instance(inst)
+    assert report.verdict.reason is Reason.COMPONENT_COUNT_MISMATCH
+    assert report.oracle_yes is False
+    assert ("decision", "source: part [7] does not hold 0 tokens in every state") in report.violations

@@ -141,18 +141,21 @@ def test_disjoint_union_is_decided_per_component():
         alone = [decide(i.graph, i.source, i.target) for i in insts]
         reachable = [v.reachable for v in alone]
         assert verdict.reachable == all(reachable)
-        # the union lists the parts' verdicts up to the first NO, in the
-        # union's vertex ids
-        listed = verdict.details["components"]
+        # the union's details are the parts' in the union's vertex ids:
+        # whole-graph rigid sets, and the parts' lists up to the first NO
         stop = reachable.index(False) + 1 if False in reachable else len(alone)
-        assert len(listed) == stop
+        assert verdict.reason is alone[stop - 1].reason
+        expected = {"rigid_source": set(), "rigid_target": set(), "component_counts": []}
         offset = 0
-        for (comp, v), g, part in zip(listed, parts, alone):
-            (_, expected), = part.details["components"]
-            assert comp == frozenset(range(offset, offset + g.n))
-            assert v.reason is expected.reason
-            assert v.details["rigid_source"] == {
-                u + offset for u in expected.details["rigid_source"]
-            }
+        for i, (g, v) in enumerate(zip(parts, alone)):
+            for key in ("rigid_source", "rigid_target"):
+                expected[key] |= {u + offset for u in v.details[key]}
+            if i < stop:
+                expected["component_counts"] += [
+                    (frozenset(u + offset for u in part), a, b)
+                    for part, a, b in v.details["component_counts"]
+                ]
+            if i == stop - 1 and not v.reachable:
+                expected["component"] = frozenset(range(offset, offset + g.n))
             offset += g.n
-        assert verdict.reason is listed[-1][1].reason
+        assert verdict.details == expected

@@ -10,11 +10,15 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
+from itertools import compress
+from operator import itemgetter
 
 from .errors import InvalidPairError
 
 TO_VERTEX = "to_vertex"  # (B, u): the side kept is B's side of u
 TO_BLOCK = "to_block"  # (u, B): the side kept is everything except B's side
+
+_first = itemgetter(0)
 
 
 @dataclass(frozen=True)
@@ -147,8 +151,9 @@ class BlockDecomposition:
         those components alone; self if kept holds every component."""
         if len(kept) == self.trees:
             return self
-        label = self.component
-        members = tuple(b for b in self.members if label[b[0]] in kept)
+        # One C-level pass: each block's component is that of its first vertex.
+        labels = map(self.component.__getitem__, map(_first, self.members))
+        members = tuple(compress(self.members, map(kept.__contains__, labels)))
         return BlockDecomposition(self.graph, members)
 
     def pairs(self):

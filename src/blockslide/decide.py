@@ -20,12 +20,26 @@ other than u.  A rigid vertex u has two such sides (B,u) and (B',u), and
 B and B' share no vertex but u, so its component holds two tokens.  A
 component with one token has no rigid vertex and stays one part, which
 holds its one token of each set: it is reachable, as one with none is.
+
+The decision is read from integer labels alone: the component label of
+each vertex and the tree nodes of the pair index.  Removing the rigid
+vertices cuts the block-cut tree at their nodes, so the parts of a
+component are the pieces of its tree between them, and each token is
+counted in the piece of its node.  No vertex set is built.  The verdict's
+details, the vertex sets in the caller's ids, are built on first read:
+each component with tokens from its blocks, and its parts by a graph
+search over the graph minus the rigid vertices, which does not use the
+tree.  That search must stop at the component and reason the labels
+gave, or the read raises InternalError, so every read of the details
+cross-checks the decision.
 """
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import partial
 
 from .blocks import decompose, is_block_graph
 from .errors import InternalError, NotABlockGraphError
@@ -44,7 +58,8 @@ class Reason(Enum):
 @dataclass(frozen=True)
 class Verdict:
     """A yes/no answer, the reason that decided it, and one flat details
-    dict in the caller's vertex ids; components and parts are frozensets.
+    mapping in the caller's vertex ids; components and parts are
+    frozensets.
 
     - UNEQUAL_SIZE: {"sizes": (k1, k2)} when the totals differ, else
       {"component": comp, "counts": (a, b)} for the first component, in
@@ -55,17 +70,51 @@ class Verdict:
       components holding tokens in order of least vertex.  A NO stops the
       list after the component that decided it, which it adds as
       "component"; a RIGID_MISMATCH component lists no parts.
+
+    decide reaches reachable and reason from integer labels, and gives
+    details as a read-only mapping that builds this dict on first read
+    (see the module docstring); it compares equal to the dict and has its
+    repr.
     """
 
     reachable: bool
     reason: Reason
-    details: dict = field(default_factory=dict)
+    details: Mapping = field(default_factory=dict)
 
     def __post_init__(self):
         if self.reachable != (self.reason is Reason.REACHABLE):
             raise InternalError(
                 f"verdict reachable={self.reachable} with reason {self.reason}"
             )
+
+
+class _Details(Mapping):
+    """A read-only mapping holding the dict build() returns, called on the
+    first read; build and what it refers to are dropped then."""
+
+    __slots__ = ("_build", "_dict")
+
+    def __init__(self, build):
+        self._build = build
+        self._dict = None
+
+    def _read(self):
+        if self._dict is None:
+            self._dict = self._build()
+            self._build = None
+        return self._dict
+
+    def __getitem__(self, key):
+        return self._read()[key]
+
+    def __iter__(self):
+        return iter(self._read())
+
+    def __len__(self):
+        return len(self._read())
+
+    def __repr__(self):
+        return repr(self._read())
 
 
 def rigid_vertices(bd, ua, pot):
@@ -88,6 +137,67 @@ def rigid_vertices(bd, ua, pot):
     return frozenset(rigid)
 
 
+def _first_failure(bd, c1, c2, w1, w2):
+    """(reason, component index) of the least component, in order of least
+    vertex, that is not reachable, or (REACHABLE, None), given the rigid
+    sets w1, w2 on the pruned decomposition bd.
+
+    The components whose rigid sets differ are the labels of w1 ^ w2.
+    Below the least of them, each component with rigid vertices is cut at
+    their nodes of bd's block-cut tree: a search through into[x] from the
+    nodes next to a rigid node, entering no rigid node, numbers the pieces,
+    and each token adds +1 (c1) or -1 (c2) to the piece of its node, the
+    cut vertex's own or its one block's.  A piece whose sum is not 0 is a
+    part whose counts differ.  A rigid vertex with no cut node in bd cuts
+    nothing here; the details' graph search would then disagree.
+    """
+    for w, c, which in ((w1, c1, "source"), (w2, c2, "target")):
+        if not w.isdisjoint(c._members):
+            raise InternalError(
+                f"{which} token on its own rigid vertex {min(w & c._members)}"
+            )
+    label = bd.component
+    first = min({label[u] for u in w1 ^ w2}, default=None)
+    ix = bd.index()
+    node_of, into, node = ix.node_of, ix.into, ix.node
+    nblocks = len(bd.members)
+    part = [-1] * len(into)  # per node, its piece; -2 on a rigid node
+    roots = []  # (node, component) of each rigid vertex that cuts
+    for u in w1:
+        x = node_of[u]
+        if x >= nblocks and (first is None or label[u] < first):
+            part[x] = -2
+            roots.append((x, label[u]))
+    owner = []  # per piece, its component
+    for x, i in roots:
+        for q in into[x]:
+            y = node[q]
+            if part[y] != -1:
+                continue
+            k = part[y] = len(owner)
+            owner.append(i)
+            stack = [y]
+            while stack:
+                for r in into[stack.pop()]:
+                    z = node[r]
+                    if part[z] == -1:
+                        part[z] = k
+                        stack.append(z)
+    if owner:
+        cut = {i for _, i in roots}
+        sums = [0] * len(owner)
+        for c, step in ((c1, 1), (c2, -1)):
+            for v in c:
+                if label[v] in cut:
+                    sums[part[node_of[v]]] += step
+        uneven = [i for i, s in zip(owner, sums) if s]
+        if uneven:
+            return Reason.COMPONENT_COUNT_MISMATCH, min(uneven)
+    if first is not None:
+        return Reason.RIGID_MISMATCH, first
+    return Reason.REACHABLE, None
+
+
 def _parts_after(g, comp, rigid, c1, c2):
     """(part, tokens of c1 in it, tokens of c2 in it) per component of the
     component comp of g minus its rigid vertices, in order of least
@@ -100,6 +210,45 @@ def _parts_after(g, comp, rigid, c1, c2):
     ]
 
 
+def _unequal_details(g, i, counts):
+    """The details of a verdict on per-component counts that differ first
+    in component i."""
+    return {"component": decompose(g).components({i})[i], "counts": counts}
+
+
+def _explain(g, c1, c2, w1, w2, counts, decided):
+    """The details of a verdict on equal per-component counts, built with
+    the vertex sets of the components with tokens and a graph search in
+    each one with rigid vertices.  The search stops at the first of them,
+    in order of least vertex, that is not reachable, which must be
+    decided, the (reason, component index) the labels gave."""
+    comps = decompose(g).components(counts)
+    details = {"rigid_source": w1, "rigid_target": w2, "component_counts": []}
+    found = Reason.REACHABLE, None
+    for i in sorted(counts):
+        comp = comps[i]
+        rigid = w1 & comp
+        if rigid != w2 & comp:
+            found = Reason.RIGID_MISMATCH, i
+        else:
+            # Only a component holding a rigid vertex splits; any other is
+            # its own one part.
+            parts = _parts_after(g, comp, rigid, c1, c2) if rigid else [(comp, counts[i], counts[i])]
+            details["component_counts"] += parts
+            if all(a == b for _, a, b in parts):
+                continue
+            found = Reason.COMPONENT_COUNT_MISMATCH, i
+        details["component"] = comp
+        break
+    if found != decided:
+        (why, i), (want, j) = found, decided
+        raise InternalError(
+            f"the graph search stops at {why.value} in component {i},"
+            f" the labels at {want.value} in component {j}"
+        )
+    return details
+
+
 def decide_connected(g, bd, c1, c2):
     """Verdict for two same-size token sets on a block graph g, connected
     or not, with bd = decompose(g).
@@ -110,7 +259,8 @@ def decide_connected(g, bd, c1, c2):
     ua, potentials and rigid sets are then each taken once, over the
     block-cut trees of the components holding two tokens or more (see the
     module docstring).  The first component with tokens, in order of least
-    vertex, that is not reachable gives the reason.
+    vertex, that is not reachable gives the reason, read off the labels by
+    _first_failure; the details are built only when read.
     """
     if len(c1) != len(c2):
         raise ValueError("decide_connected requires equal-size token sets")
@@ -121,10 +271,11 @@ def decide_connected(g, bd, c1, c2):
             counts[label[v]] = counts.get(label[v], 0) + 1
     if n1 != n2:
         i = min(i for i in n1.keys() | n2.keys() if n1.get(i) != n2.get(i))
-        details = {"component": bd.components({i})[i], "counts": (n1.get(i, 0), n2.get(i, 0))}
-        return Verdict(False, Reason.UNEQUAL_SIZE, details)
+        details = partial(_unequal_details, g, i, (n1.get(i, 0), n2.get(i, 0)))
+        return Verdict(False, Reason.UNEQUAL_SIZE, _Details(details))
     kept = {i for i, k in n1.items() if k > 1}
     w1 = w2 = frozenset()
+    decided = Reason.REACHABLE, None
     if kept:
         pruned = bd.within(kept)
         t1 = [v for v in c1 if label[v] in kept]
@@ -132,24 +283,11 @@ def decide_connected(g, bd, c1, c2):
         ua = compute_ua(pruned, compute_depths(pruned))
         w1 = rigid_vertices(pruned, ua, compute_potentials(pruned, ua, t1))
         w2 = rigid_vertices(pruned, ua, compute_potentials(pruned, ua, t2))
-    details = {"rigid_source": w1, "rigid_target": w2, "component_counts": []}
-    comps = bd.components(n1)
-    for i in sorted(n1):  # the components with tokens
-        comp = comps[i]
-        rigid = w1 & comp
-        if rigid != w2 & comp:
-            reason = Reason.RIGID_MISMATCH
-        else:
-            # Only a component holding a rigid vertex splits; any other is
-            # its own one part.
-            parts = _parts_after(g, comp, rigid, c1, c2) if rigid else [(comp, n1[i], n2[i])]
-            details["component_counts"] += parts
-            if all(a == b for _, a, b in parts):
-                continue
-            reason = Reason.COMPONENT_COUNT_MISMATCH
-        details["component"] = comp
-        return Verdict(False, reason, details)
-    return Verdict(True, Reason.REACHABLE, details)
+        if w1 or w2:
+            decided = _first_failure(pruned, c1, c2, w1, w2)
+    details = partial(_explain, g, c1, c2, w1, w2, n1, decided)
+    reason = decided[0]
+    return Verdict(reason is Reason.REACHABLE, reason, _Details(details))
 
 
 def decide(g, c1, c2):
@@ -168,5 +306,6 @@ def decide(g, c1, c2):
         c2 = TokenSet(g, c2, which="target")
 
     if len(c1) != len(c2):
-        return Verdict(False, Reason.UNEQUAL_SIZE, {"sizes": (len(c1), len(c2))})
+        sizes = partial(dict, sizes=(len(c1), len(c2)))
+        return Verdict(False, Reason.UNEQUAL_SIZE, _Details(sizes))
     return decide_connected(g, decompose(g), c1, c2)

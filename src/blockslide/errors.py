@@ -5,16 +5,28 @@ class BlockslideError(Exception):
     """Base class for all errors raised by this package."""
 
 
+def _at(line, message):
+    """message, after "line N: " when there is a line number."""
+    return message if line is None else f"line {line}: {message}"
+
+
 class SelfLoopError(BlockslideError):
-    def __init__(self, u):
-        super().__init__(f"self-loop at vertex {u}")
+    """A self-loop; line is the instance file's line, when one exists."""
+
+    def __init__(self, u, line=None):
+        super().__init__(_at(line, f"self-loop at vertex {u}"))
         self.vertex = u
+        self.line = line
 
 
 class DuplicateEdgeError(BlockslideError):
-    def __init__(self, u, v):
-        super().__init__(f"duplicate edge ({u}, {v})")
+    """An edge given twice; line is the instance file's line of the second,
+    when one exists."""
+
+    def __init__(self, u, v, line=None):
+        super().__init__(_at(line, f"duplicate edge ({u}, {v})"))
         self.edge = (u, v)
+        self.line = line
 
 
 class VertexOutOfRangeError(BlockslideError):
@@ -50,9 +62,7 @@ class InstanceFormatError(BlockslideError):
     when one exists (None for structural problems like a missing section)."""
 
     def __init__(self, message, line=None):
-        if line is not None:
-            message = f"line {line}: {message}"
-        super().__init__(message)
+        super().__init__(_at(line, message))
         self.line = line
 
 

@@ -1,8 +1,9 @@
 """The line-by-line instance parser, kept as a reference.
 
 Every line is stripped, tested for a comment, split, and each edge line's
-endpoints are parsed and range-checked as the line is read; the graph is
-checked edge by edge against a frozenset of (u, v) tuples.  Every count and
+endpoints are parsed, range-checked, and checked for a self-loop and an
+edge given before against a set of (u, v) tuples as the line is read, so a
+self-loop or a repeated edge is reported at its line in the file's ids.  Every count and
 id must match [0-9]+.  parse_instance must raise the same exception (type, message, line) on every text, or
 return the same graph and token sets.
 """
@@ -88,6 +89,7 @@ def _parse_tokens(fields, lineno, which):
 def reference_parse_instance(text):
     n = m = None
     edges = []
+    edge_lines = set()  # (u, v) with u < v per edge line, in file ids
     source = None
     target = None
     header_line = None
@@ -117,6 +119,12 @@ def reference_parse_instance(text):
             for w in (u, v):
                 if not (1 <= w <= n):
                     raise VertexOutOfRangeError(w, n)
+            if u == v:
+                raise SelfLoopError(u, lineno)
+            e = (u, v) if u < v else (v, u)
+            if e in edge_lines:
+                raise DuplicateEdgeError(*e, lineno)
+            edge_lines.add(e)
             edges.append((u - 1, v - 1))
         elif tag == "s":
             if source is not None:

@@ -63,6 +63,17 @@ def test_repeated_token_vertex_exit_2(tmp_path, capsys):
     assert "line 4" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("text, message", [
+    ("p 3 2\ne 1 2\ne 3 3\ns 1\nt 1\n", "line 3: self-loop at vertex 3"),
+    ("p 3 2\ne 2 3\ne 3 2\ns 1\nt 1\n", "line 3: duplicate edge (2, 3)"),
+    ("p 3 2\ne 1 1\ne 2 3\ns 1 1\nt 1\n", "line 2: self-loop at vertex 1"),
+])
+def test_edge_fault_exit_2_names_its_line(tmp_path, capsys, text, message):
+    code, out = run(["decide", write(tmp_path, text)])
+    assert code == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 def test_internal_error_exit_4_under_optimize(tmp_path):
     """Under python -O a contradictory Verdict still raises InternalError,
     and the CLI maps it to exit code 4."""

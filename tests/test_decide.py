@@ -262,6 +262,29 @@ def test_memory_grows_linearly():
     assert large <= 4.6 * small, (small, large)
 
 
+def test_a_held_verdict_keeps_no_pair_index():
+    """The details are built when read, from what the verdict holds: the
+    graph, the two token sets, the rigid sets and the counts, and no
+    decomposition or pair index.  On a 16,384-vertex path with every
+    fourth vertex a token, DFS already run, the bytes still allocated
+    after decide are the two token sets decide builds from the lists
+    (about 330 kB) plus freed small tuples that CPython keeps for reuse
+    (about 110 kB): 442,656 bytes with Python 3.11.  With the details an
+    eager dict holding the path's vertex set, the same count was 638,544."""
+    n = 16_384
+    g = Graph(n, [(i, i + 1) for i in range(n - 1)])
+    decompose(g)
+    s = list(range(0, n, 4))
+    tracemalloc.start()
+    try:
+        v = decide(g, s, s)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert held <= 526_400, held
+    assert v.details["component_counts"] == [(frozenset(range(n)), n // 4, n // 4)]
+
+
 @pytest.mark.parametrize("corpus", ["fuzz", "unions"])
 def test_parts_split_only_components_with_rigid_vertices(corpus):
     """A component's parts, as the search over the whole graph minus the

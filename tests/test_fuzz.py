@@ -2,12 +2,17 @@
 checks is reported under that category and no other."""
 
 import importlib
+import os
+import subprocess
+import sys
 from collections import defaultdict
+from pathlib import Path
 
 import pytest
 
+import blockslide
 import blockslide.fuzz as fuzz_mod
-from blockslide import BlockDecomposition, Reason
+from blockslide import BlockDecomposition, Graph, InternalError, Reason, decide
 from blockslide.fuzz import evaluate_instance, gen_fuzz_instance
 
 # The package attribute blockslide.decide is the function.
@@ -127,16 +132,79 @@ def test_decide_rigid_set_off_the_full_forest_is_reported(monkeypatch):
 
 def test_count_mismatch_on_a_part_that_varies_is_reported(monkeypatch):
     """A COMPONENT_COUNT_MISMATCH names a part whose count each set's
-    states keep.  decide calling every cut vertex rigid turns a true
-    RIGID_MISMATCH into a COMPONENT_COUNT_MISMATCH: still NO, so the
-    oracle's answer agrees, but the part's count varies."""
-    inst = gen_fuzz_instance(26)
+    states keep.  decide calling every cut vertex rigid that holds no
+    token turns a true RIGID_MISMATCH into a COMPONENT_COUNT_MISMATCH:
+    still NO, so the oracle's answer agrees, but the part's count varies.
+    (A token on its own rigid vertex raises; see below.)"""
+    inst = gen_fuzz_instance(66)
     report = evaluate_instance(inst)
     assert report.violations == [] and report.verdict.reason is Reason.RIGID_MISMATCH
+    tokens = {*inst.source, *inst.target}
     monkeypatch.setattr(
-        decide_mod, "rigid_vertices", lambda bd, ua, pot: frozenset(bd.cut_vertices)
+        decide_mod, "rigid_vertices", lambda bd, ua, pot: bd.cut_vertices - tokens
     )
     report = evaluate_instance(inst)
     assert report.verdict.reason is Reason.COMPONENT_COUNT_MISMATCH
     assert report.oracle_yes is False
-    assert ("decision", "source: part [7] does not hold 0 tokens in every state") in report.violations
+    assert ("decision", "source: part [1, 2, 3] does not hold 0 tokens in every state") in report.violations
+
+
+def test_token_on_its_own_rigid_vertex_raises(monkeypatch):
+    """decide counts each token in the part of its node, which a token on
+    a rigid vertex has none of: a rigid set holding a token of its own set
+    raises InternalError, a plain raise that python -O keeps."""
+    inst = gen_fuzz_instance(0)
+    original = decide_mod.rigid_vertices
+    token = inst.source.vertices[0]
+    monkeypatch.setattr(
+        decide_mod, "rigid_vertices", lambda bd, ua, pot: original(bd, ua, pot) | {token}
+    )
+    with pytest.raises(InternalError, match=f"source token on its own rigid vertex {token}"):
+        decide(inst.graph, inst.source, inst.target)
+
+
+def test_details_that_disagree_with_the_labels_raise(monkeypatch):
+    """The details' graph search cross-checks the labels' verdict when read.
+    A P3 with both leaves as tokens is analysed; beside it a P3 holding one
+    token of each set, on different leaves, is not.  Calling the second
+    P3's centre rigid leaves the labels' answer YES, since it has no node
+    in the analysed trees, while the search splits that P3 into two parts
+    whose counts differ."""
+    g = Graph(6, [(0, 1), (1, 2), (3, 4), (4, 5)])
+    original = decide_mod.rigid_vertices
+    monkeypatch.setattr(
+        decide_mod, "rigid_vertices", lambda bd, ua, pot: original(bd, ua, pot) | {4}
+    )
+    verdict = decide(g, [0, 2, 3], [0, 2, 5])
+    assert verdict.reachable
+    with pytest.raises(InternalError, match="the graph search stops at"):
+        verdict.details["component_counts"]
+
+
+def test_the_checks_fire_under_optimize():
+    """Both checks are plain raises, so they still fire under python -O."""
+    script = (
+        "import importlib, sys\n"
+        "if __debug__:\n"
+        "    sys.exit('not running under -O')\n"
+        "from blockslide import Graph, InternalError, decide\n"
+        "dm = importlib.import_module('blockslide.decide')\n"
+        "g = Graph(6, [(0, 1), (1, 2), (3, 4), (4, 5)])\n"
+        "original = dm.rigid_vertices\n"
+        "for extra in (0, 4):\n"
+        "    dm.rigid_vertices = lambda bd, ua, pot: original(bd, ua, pot) | {extra}\n"
+        "    try:\n"
+        "        decide(g, [0, 2, 3], [0, 2, 5]).details['component_counts']\n"
+        "    except InternalError as exc:\n"
+        "        print(exc)\n"
+    )
+    result = subprocess.run(
+        [sys.executable, "-O", "-c", script],
+        env=dict(os.environ, PYTHONPATH=str(Path(blockslide.__file__).parents[1])),
+        capture_output=True, text=True, timeout=60,
+    )
+    assert result.returncode == 0, result.stderr
+    lines = result.stdout.splitlines()
+    assert len(lines) == 2, lines
+    assert lines[0] == "source token on its own rigid vertex 0"
+    assert lines[1].startswith("the graph search stops at")

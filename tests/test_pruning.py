@@ -7,7 +7,9 @@ reference_decide, details included, and a tree it leaves out must cost no
 pair.
 """
 
+import importlib
 import random
+from collections import Counter
 
 import pytest
 
@@ -23,8 +25,11 @@ from blockslide import (
 )
 from blockslide.fuzz import FuzzEnvelope, gen_fuzz_instance
 from blockslide.gen import gen_token_sets
-from conftest import disjoint_union, fuzz_corpus, shuffled, shuffled_unions
+from conftest import LADDER, disjoint_union, fuzz_corpus, shuffled, shuffled_unions
 from reference_decide import reference_decide_connected
+
+# The package attribute blockslide.decide is the function.
+decide_mod = importlib.import_module("blockslide.decide")
 
 
 def mixed_unions(count, seed=0):
@@ -54,34 +59,76 @@ def mixed_unions(count, seed=0):
 MIXED = mixed_unions(400)
 
 
-def check_against_reference(insts):
+@pytest.fixture
+def vertex_sets(monkeypatch):
+    """Calls, by name, of the three functions that build vertex sets:
+    the component sets of a decomposition, and the graph search for the
+    parts of a component minus its rigid vertices."""
+    calls = Counter()
+
+    def count(owner, name):
+        original = getattr(owner, name)
+
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, counted)
+
+    count(blocks.BlockDecomposition, "components")
+    count(decide_mod, "_parts_after")
+    count(decide_mod, "connected_components")
+    return calls
+
+
+def check_against_reference(insts, vertex_sets):
     """decide_connected equals the full-forest reference on every instance
-    with equal sizes; returns the reasons seen."""
+    with equal sizes; returns the reasons seen, and the number of graph
+    searches that reading the details ran.  Reading reachable and reason
+    builds no vertex set: the details are built when read."""
     reasons = set()
+    searched = 0
     for inst in insts:
         g, c1, c2 = inst.graph, inst.source, inst.target
         if len(c1) != len(c2):
             continue
         got = decide_connected(g, decompose(g), c1, c2)
+        reachable, reason = got.reachable, got.reason
+        assert not vertex_sets, vertex_sets
         want = reference_decide_connected(g, decompose(g), c1, c2)
-        assert got.reachable == want.reachable
-        assert got.reason is want.reason
+        assert reachable == want.reachable
+        assert reason is want.reason
         assert got.details == want.details
-        reasons.add(got.reason)
-    return reasons
+        searched += vertex_sets["connected_components"]
+        vertex_sets.clear()
+        reasons.add(reason)
+    return reasons, searched
 
 
 @pytest.mark.parametrize("start", range(0, 3000, 500))
-def test_verdicts_equal_reference_on_fuzz_corpus(start):
-    check_against_reference(fuzz_corpus(500, seed=start))
+def test_verdicts_equal_reference_on_fuzz_corpus(start, vertex_sets):
+    check_against_reference(fuzz_corpus(500, seed=start), vertex_sets)
 
 
-def test_verdicts_equal_reference_on_shuffled_unions():
-    check_against_reference(shuffled_unions(random.Random("pruning")))
+def test_verdicts_equal_reference_on_shuffled_unions(vertex_sets):
+    check_against_reference(shuffled_unions(random.Random("pruning")), vertex_sets)
 
 
-def test_verdicts_equal_reference_on_mixed_unions():
-    assert check_against_reference(MIXED) == set(Reason)
+def test_verdicts_equal_reference_on_mixed_unions(vertex_sets):
+    reasons, searched = check_against_reference(MIXED, vertex_sets)
+    assert reasons == set(Reason)
+    assert searched > 0
+
+
+@pytest.mark.parametrize("shape", sorted(LADDER))
+def test_verdicts_equal_reference_on_ladder_shapes(shape, vertex_sets):
+    """A quarter of the vertices as tokens, at 64 and 1,024 vertices."""
+    insts = []
+    for n in (64, 1024):
+        g = LADDER[shape](n)
+        insts.append(Instance(g, *gen_token_sets(g, g.n // 4, 1, 2)))
+        insts.append(Instance(g, insts[-1].source, insts[-1].source))
+    check_against_reference(insts, vertex_sets)
 
 
 def token_counts(inst, c):

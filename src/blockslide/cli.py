@@ -56,8 +56,7 @@ def cmd_potentials(args, out):
         raise NotABlockGraphError("input graph has a non-clique block")
     tokens = instance.source if args.set == "source" else instance.target
     bd = decompose(g)
-    depths = compute_depths(bd)
-    ua = compute_ua(bd, depths)
+    ua = compute_ua(bd)
     pot = compute_potentials(bd, ua, tokens)
 
     ix = bd.index()
@@ -68,7 +67,7 @@ def cmd_potentials(args, out):
         local.append(seen[i])
         seen[i] += 1
     lines = [[] for _ in seen]
-    per_pair = zip(ix.base, ix.block, pot.array, ua.array, depths)
+    per_pair = zip(ix.base, ix.block, pot.array, ua.array, compute_depths(bd))
     for p, (u, b, x, a, d) in enumerate(per_pair):
         arrow = f"{u + 1}->B{local[b]}" if p & 1 else f"B{local[b]}->{u + 1}"
         lines[tree[b]].append(f"pot {arrow} = {x} ua={int(a)} d={d}")
@@ -105,21 +104,20 @@ def cmd_fuzz(args, out):
         max_tokens=args.max_tokens,
         max_vertices=args.max_vertices,
     )
-
-    def report(seed, inst, failures):
-        dump = f"fuzz-failure-seed{seed}.ts"
-        with open(dump, "w", encoding="ascii") as fh:
-            fh.write(f"# fuzz seed {seed}\n")
-            fh.write(render_instance(inst))
-        print(f"{seed - args.seed}/{args.count} ok, then seed {seed} failed:", file=out)
-        for f in failures:
-            print(f"  {f}", file=out)
-        print(f"instance dumped to {dump}", file=out)
-
-    if run_fuzz(args.count, env, args.seed, on_failure=report)[1] is not None:
-        return EXIT_FUZZ_FAILURE
-    print(f"{args.count}/{args.count} ok", file=out)
-    return EXIT_OK
+    ok, inst, failures = run_fuzz(args.count, env, args.seed)
+    if inst is None:
+        print(f"{args.count}/{args.count} ok", file=out)
+        return EXIT_OK
+    seed = args.seed + ok
+    dump = f"fuzz-failure-seed{seed}.ts"
+    with open(dump, "w", encoding="ascii") as fh:
+        fh.write(f"# fuzz seed {seed}\n")
+        fh.write(render_instance(inst))
+    print(f"{ok}/{args.count} ok, then seed {seed} failed:", file=out)
+    for f in failures:
+        print(f"  {f}", file=out)
+    print(f"instance dumped to {dump}", file=out)
+    return EXIT_FUZZ_FAILURE
 
 
 def build_parser():

@@ -44,6 +44,7 @@ from functools import partial
 from .blocks import decompose, is_block_graph
 from .errors import InternalError, NotABlockGraphError
 from .graph import TokenSet, connected_components
+# compute_depths is unused here; perfbench/tracer.py wraps it by this name.
 from .invariants import compute_depths, compute_ua
 from .potential import compute_potentials
 
@@ -255,8 +256,8 @@ def decide_connected(g, bd, c1, c2):
 
     A component's verdict never depends on another component.  The tokens
     are counted per component from the component labels of the block DFS,
-    before any pair index exists; unequal counts give UNEQUAL_SIZE.  Depth,
-    ua, potentials and rigid sets are then each taken once, over the
+    before any pair index exists; unequal counts give UNEQUAL_SIZE.  ua,
+    potentials and rigid sets are then each taken once, over the
     block-cut trees of the components holding two tokens or more (see the
     module docstring).  The first component with tokens, in order of least
     vertex, that is not reachable gives the reason, read off the labels by
@@ -280,7 +281,7 @@ def decide_connected(g, bd, c1, c2):
         pruned = bd.within(kept)
         t1 = [v for v in c1 if label[v] in kept]
         t2 = [v for v in c2 if label[v] in kept]
-        ua = compute_ua(pruned, compute_depths(pruned))
+        ua = compute_ua(pruned)
         w1 = rigid_vertices(pruned, ua, compute_potentials(pruned, ua, t1))
         w2 = rigid_vertices(pruned, ua, compute_potentials(pruned, ua, t2))
         if w1 or w2:

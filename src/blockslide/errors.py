@@ -30,9 +30,13 @@ class DuplicateEdgeError(BlockslideError):
 
 
 class VertexOutOfRangeError(BlockslideError):
-    def __init__(self, u, n):
-        super().__init__(f"vertex {u} out of range for graph with {n} vertices")
+    """A vertex id outside the graph; line is the instance file's line,
+    when one exists."""
+
+    def __init__(self, u, n, line=None):
+        super().__init__(_at(line, f"vertex {u} out of range for graph with {n} vertices"))
         self.vertex = u
+        self.line = line
 
 
 class NotIndependentError(BlockslideError):

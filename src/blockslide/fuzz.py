@@ -14,7 +14,7 @@ from .decide import Reason, decide, rigid_vertices
 from .errors import InvalidParamsError
 from .gen import GenParams, SplitMix64, gen_block_graph, gen_token_sets
 from .instance import Instance
-from .invariants import compute_depths, compute_ua
+from .invariants import compute_ua
 from .oracle import (
     OracleLimits,
     adjacency_masks,
@@ -87,7 +87,7 @@ def evaluate_instance(inst, lim=OracleLimits()):
     g, c1, c2 = inst.graph, inst.source, inst.target
     failures = []
     bd = decompose(g)
-    ua = compute_ua(bd, compute_depths(bd))
+    ua = compute_ua(bd)
     ix = bd.index()
     pairs = bd.pairs()  # for the side walks and the messages
     m = len(bd.members)
@@ -215,10 +215,11 @@ def evaluate_instance(inst, lim=OracleLimits()):
     return InstanceReport(failures, oracle_yes=oracle_yes, verdict=verdict)
 
 
-def run_fuzz(count, env=FuzzEnvelope(), seed=0, lim=OracleLimits(), on_failure=None):
+def run_fuzz(count, env=FuzzEnvelope(), seed=0, lim=OracleLimits()):
     """Run `count` seeded instances; stop at the first failing one.
 
-    Returns (instances_run, failing_instance_or_None, failures).
+    Returns (instances_run, failing_instance_or_None, failures); the
+    failing instance, if any, is that of seed + instances_run.
     """
     if count < 0:
         raise InvalidParamsError("count must be nonnegative")
@@ -226,7 +227,5 @@ def run_fuzz(count, env=FuzzEnvelope(), seed=0, lim=OracleLimits(), on_failure=N
         inst = gen_fuzz_instance(seed + i, env)
         failures = evaluate_instance(inst, lim).messages()
         if failures:
-            if on_failure is not None:
-                on_failure(seed + i, inst, failures)
             return i, inst, failures
     return count, None, []

@@ -73,6 +73,13 @@ def _parse_tokens(fields, lineno, which):
     return vs
 
 
+def _check_range(vs, n, lineno):
+    """Every id of a token line is in 1..n."""
+    for v in vs:
+        if not 1 <= v <= n:
+            raise VertexOutOfRangeError(v, n, lineno)
+
+
 def parse_instance(text):
     """The Instance a text describes; the first error in line order raises.
 
@@ -219,13 +226,16 @@ def _parse_lines(text):
     are converted, range-checked, and checked for a self-loop and for an
     edge given before on its line, so these errors name the line and the
     file's ids; the edge is kept as one int key, u * n + v for its 0-based
-    ends u < v, whose set finds an edge given before.
+    ends u < v, whose set finds an edge given before.  A token line's ids
+    are range-checked at that line, or, read before the header, when the
+    header is read; an error names the token line.  Only independence,
+    which needs every edge, is checked after the last line.
     """
     n = m = None
     keys = set()
     add = keys.add
-    source = None
-    target = None
+    tokens = {"s": None, "t": None}  # ids per token line's tag
+    early = []  # (ids, line) per token line read before the header
     header_line = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
         fields = raw.split()
@@ -236,9 +246,9 @@ def _parse_lines(text):
             u = _parse_int(fields[1], lineno, "endpoint")
             v = _parse_int(fields[2], lineno, "endpoint")
             if not 1 <= u <= n:
-                raise VertexOutOfRangeError(u, n)
+                raise VertexOutOfRangeError(u, n, lineno)
             if not 1 <= v <= n:
-                raise VertexOutOfRangeError(v, n)
+                raise VertexOutOfRangeError(v, n, lineno)
             if u == v:
                 raise SelfLoopError(u, lineno)
             if u > v:
@@ -259,18 +269,21 @@ def _parse_lines(text):
             if n > MAX_VERTICES:
                 raise InstanceFormatError(f"more than {MAX_VERTICES} vertices", lineno)
             header_line = lineno
+            for vs, line in early:
+                _check_range(vs, n, line)
         elif tag == "e":
             if n is None:
                 raise InstanceFormatError("edge line before header", lineno)
             raise InstanceFormatError("edge line must be 'e <u> <v>'", lineno)
-        elif tag == "s":
-            if source is not None:
-                raise InstanceFormatError("duplicate source line", lineno)
-            source = _parse_tokens(fields[1:], lineno, "source")
-        elif tag == "t":
-            if target is not None:
-                raise InstanceFormatError("duplicate target line", lineno)
-            target = _parse_tokens(fields[1:], lineno, "target")
+        elif tag in tokens:
+            which = "source" if tag == "s" else "target"
+            if tokens[tag] is not None:
+                raise InstanceFormatError(f"duplicate {which} line", lineno)
+            vs = tokens[tag] = _parse_tokens(fields[1:], lineno, which)
+            if n is None:
+                early.append((vs, lineno))
+            else:
+                _check_range(vs, n, lineno)
         else:
             raise InstanceFormatError(f"unknown line tag {tag!r}", lineno)
 
@@ -280,6 +293,7 @@ def _parse_lines(text):
         raise InstanceFormatError(
             f"header promises {m} edges, found {len(keys)}", header_line
         )
+    source, target = tokens["s"], tokens["t"]
     if source is None:
         raise MissingSectionError("s")
     if target is None:
@@ -287,9 +301,6 @@ def _parse_lines(text):
 
     graph = Graph(n, _KeyedEdges(keys, n))
     del keys, add
-    for v in (*source, *target):
-        if not (1 <= v <= n):
-            raise VertexOutOfRangeError(v, n)
     src = TokenSet(graph, [v - 1 for v in source], which="source")
     tgt = TokenSet(graph, [v - 1 for v in target], which="target")
     return Instance(graph, src, tgt)

@@ -9,6 +9,13 @@ index's rooted order.  Each node keeps running totals over its list: the
 two largest depths, or the count of ua pairs.  A pair adds its value to
 the totals of node[p ^ 1], whose list holds it, once the value is set, and
 reads its own node's totals minus its reverse; so every pair costs O(1).
+
+The paper's recursion for ua sets it True at depth 0, but ua needs no
+depth: a pair at depth 0 is a (B,u) whose block B has u as its only cut
+vertex, and B holds a second vertex, which is not a cut vertex, so the
+(B,u) rule already gives True.  A (u,B) pair never has depth 0, since a
+cut vertex lies in a second block.  decide computes no depth; the CLI's
+potentials command prints it.
 """
 
 from __future__ import annotations
@@ -45,12 +52,12 @@ def compute_depths(bd):
     return d
 
 
-def compute_ua(bd, depths):
-    """ua(p): True at depth 0; for (B,u) False exactly when every vertex of
-    B is a cut vertex and every (v,B) has ua; for (u,B) True when some
-    (B',u) has ua.  depths is the list compute_depths returns."""
+def compute_ua(bd):
+    """ua(p): for (B,u) False exactly when every vertex of B is a cut
+    vertex and every (v,B) has ua; for (u,B) True when some (B',u) has ua.
+    A (B,u) with no (v,B) is True by its rule (see the module docstring)."""
     ix = bd.index()
-    node, into, d = ix.node, ix.into, depths
+    node, into = ix.node, ix.into
     # per block B, the ua count over kappa(B,u) that makes ua(B,u) false:
     # all of it if B has only cut vertices, else -1, which no count equals
     full = [len(qs) - 1 if len(qs) == len(b) else -1 for qs, b in zip(into, bd.members)]
@@ -58,9 +65,7 @@ def compute_ua(bd, depths):
     ua = [False] * len(node)
     for p in ix.order:
         r = p ^ 1
-        if d[p] == 0:
-            value = True
-        elif p & 1:
+        if p & 1:
             value = count[node[p]] > ua[r]
         else:
             value = count[node[p]] - ua[r] != full[node[p]]

@@ -8,7 +8,7 @@ holding two tokens or more, and must return equal verdicts: reachable,
 reason and details, whose rigid sets are those of the whole graph.
 """
 
-from blockslide import Reason, Verdict, compute_depths, compute_potentials, compute_ua
+from blockslide import Reason, Verdict, compute_potentials, compute_ua
 from blockslide.decide import _parts_after, rigid_vertices
 from blockslide.graph import connected_components
 
@@ -21,7 +21,7 @@ def reference_decide_connected(g, bd, c1, c2):
     if n1 != n2:
         i = next(i for i, (a, b) in enumerate(zip(n1, n2)) if a != b)
         return Verdict(False, Reason.UNEQUAL_SIZE, {"component": comps[i], "counts": (n1[i], n2[i])})
-    ua = compute_ua(bd, compute_depths(bd))
+    ua = compute_ua(bd)
     w1 = rigid_vertices(bd, ua, compute_potentials(bd, ua, c1))
     w2 = rigid_vertices(bd, ua, compute_potentials(bd, ua, c2))
     details = {"rigid_source": w1, "rigid_target": w2, "component_counts": []}

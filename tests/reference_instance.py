@@ -2,9 +2,11 @@
 
 Every line is stripped, tested for a comment, split, and each edge line's
 endpoints are parsed, range-checked, and checked for a self-loop and an
-edge given before against a set of (u, v) tuples as the line is read, so a
-self-loop or a repeated edge is reported at its line in the file's ids.  Every count and
-id must match [0-9]+.  parse_instance must raise the same exception (type, message, line) on every text, or
+edge given before against a set of (u, v) tuples as the line is read, so an
+endpoint out of range, a self-loop or a repeated edge is reported at its
+line in the file's ids.  A token line's ids are range-checked once both it
+and the header have been read, and an error names the token line.  Every
+count and id must match [0-9]+.  parse_instance must raise the same exception (type, message, line) on every text, or
 return the same graph and token sets.
 """
 
@@ -86,6 +88,14 @@ def _parse_tokens(fields, lineno, which):
     return vs
 
 
+def _token_range(n, token_lines):
+    """Every id of each (line, ids) token line, in line order, is in 1..n."""
+    for lineno, vs in token_lines:
+        for v in vs:
+            if not (1 <= v <= n):
+                raise VertexOutOfRangeError(v, n, lineno)
+
+
 def reference_parse_instance(text):
     n = m = None
     edges = []
@@ -93,6 +103,7 @@ def reference_parse_instance(text):
     source = None
     target = None
     header_line = None
+    token_lines = []  # (line, ids) per token line read so far
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -109,6 +120,7 @@ def reference_parse_instance(text):
             if n > MAX_VERTICES:
                 raise InstanceFormatError(f"more than {MAX_VERTICES} vertices", lineno)
             header_line = lineno
+            _token_range(n, token_lines)
         elif tag == "e":
             if n is None:
                 raise InstanceFormatError("edge line before header", lineno)
@@ -118,7 +130,7 @@ def reference_parse_instance(text):
             v = _parse_int(fields[2], lineno, "endpoint")
             for w in (u, v):
                 if not (1 <= w <= n):
-                    raise VertexOutOfRangeError(w, n)
+                    raise VertexOutOfRangeError(w, n, lineno)
             if u == v:
                 raise SelfLoopError(u, lineno)
             e = (u, v) if u < v else (v, u)
@@ -130,12 +142,16 @@ def reference_parse_instance(text):
             if source is not None:
                 raise InstanceFormatError("duplicate source line", lineno)
             source = _parse_tokens(fields[1:], lineno, "source")
+            token_lines.append((lineno, source))
         elif tag == "t":
             if target is not None:
                 raise InstanceFormatError("duplicate target line", lineno)
             target = _parse_tokens(fields[1:], lineno, "target")
+            token_lines.append((lineno, target))
         else:
             raise InstanceFormatError(f"unknown line tag {tag!r}", lineno)
+        if tag in ("s", "t") and n is not None:
+            _token_range(n, token_lines[-1:])
 
     if n is None:
         raise MissingSectionError("p")
@@ -149,10 +165,6 @@ def reference_parse_instance(text):
         raise MissingSectionError("t")
 
     graph = reference_graph(n, edges)
-    for which, vs in (("source", source), ("target", target)):
-        for v in vs:
-            if not (1 <= v <= n):
-                raise VertexOutOfRangeError(v, n)
     src = TokenSet(graph, [v - 1 for v in source], which="source")
     tgt = TokenSet(graph, [v - 1 for v in target], which="target")
     return ReferenceInstance(graph, src, tgt)

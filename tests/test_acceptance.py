@@ -16,7 +16,6 @@ from blockslide import (
     Graph,
     Reason,
     TokenSet,
-    compute_depths,
     compute_potentials,
     compute_ua,
     decide,
@@ -111,7 +110,7 @@ def test_iteration_bound_on_corpus_and_large_graphs(corpus, capsys):
     for blocks, seed in ((50, 1), (200, 2), (500, 3)):
         g = gen_block_graph(GenParams(seed, blocks, 4))
         bd = decompose(g)
-        ua = compute_ua(bd, compute_depths(bd))
+        ua = compute_ua(bd)
         c = gen_independent_set(seed, g, g.n // 5)
         pot = compute_potentials(bd, ua, c)
         m = len(bd.blocks)
@@ -192,7 +191,7 @@ def test_star_counterexample(capsys):
     c2 = TokenSet(g, [1, 3])
     verdict = decide(g, c1, c2)
     bd = decompose(g)
-    ua = compute_ua(bd, compute_depths(bd))
+    ua = compute_ua(bd)
     rigid = rigid_vertices(bd, ua, compute_potentials(bd, ua, c1))
     ok = (
         not verdict.reachable

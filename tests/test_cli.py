@@ -67,11 +67,21 @@ def test_repeated_token_vertex_exit_2(tmp_path, capsys):
     ("p 3 2\ne 1 2\ne 3 3\ns 1\nt 1\n", "line 3: self-loop at vertex 3"),
     ("p 3 2\ne 2 3\ne 3 2\ns 1\nt 1\n", "line 3: duplicate edge (2, 3)"),
     ("p 3 2\ne 1 1\ne 2 3\ns 1 1\nt 1\n", "line 2: self-loop at vertex 1"),
+    ("p 3 2\ne 1 2\ne 2 9\ns 1\nt 1\n", "line 3: vertex 9 out of range for graph with 3 vertices"),
 ])
 def test_edge_fault_exit_2_names_its_line(tmp_path, capsys, text, message):
     code, out = run(["decide", write(tmp_path, text)])
     assert code == 2
     assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_token_out_of_range_exit_2_names_its_line(tmp_path, capsys):
+    """The token's line is reported, not the unknown tag after it."""
+    code, out = run(["decide", write(tmp_path, "p 3 0\ns 9\nq\n")])
+    assert (code, out) == (2, "")
+    assert capsys.readouterr().err == (
+        "error: line 2: vertex 9 out of range for graph with 3 vertices\n"
+    )
 
 
 def test_internal_error_exit_4_under_optimize(tmp_path):

@@ -11,7 +11,6 @@ from blockslide import (
     TokenSet,
     VertexOutOfRangeError,
     YES,
-    compute_depths,
     connected_components,
     compute_potentials,
     compute_ua,
@@ -42,8 +41,7 @@ def test_star_counterexample(star):
 
 def test_star_rigid_centre(star):
     bd = decompose(star)
-    d = compute_depths(bd)
-    ua = compute_ua(bd, d)
+    ua = compute_ua(bd)
     pot = compute_potentials(bd, ua, TokenSet(star, [1, 2]))
     assert rigid_vertices(bd, ua, pot) == frozenset({0})
 

@@ -5,12 +5,15 @@ labelled duplicates removed but not isomorphic copies.  The oracle classes
 join the independent sets one slide apart with union-find.  Two token sets
 are in one class exactly when they have the same rigid set and the same
 token count in every part of G - R, which decide(g, c, c).details lists.
+On the same graphs, ua without the paper's depth-0 rule equals the
+reference that keeps it.
 """
 
 from itertools import combinations
 
-from blockslide import Graph, TokenSet, decide
+from blockslide import Graph, TokenSet, compute_ua, decide, decompose
 from blockslide.oracle import adjacency_masks, vertices_of
+from reference_passes import reference_depths, reference_ua
 
 MAX_N = 6
 
@@ -84,6 +87,14 @@ CASES = list(cases())
 def test_enumeration_counts():
     assert len(CASES) == 437
     assert sum(len(tokens) for _, tokens, _ in CASES) == 8081
+
+
+def test_ua_needs_no_depth():
+    """A pair at depth 0 is a (B,u) whose block holds a vertex that is not
+    a cut vertex, so the (B,u) rule alone makes it True."""
+    for g, _, _ in CASES:
+        bd = decompose(g)
+        assert compute_ua(bd).array == reference_ua(bd, reference_depths(bd)), g.n
 
 
 def class_key(g, c):

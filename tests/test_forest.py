@@ -19,7 +19,6 @@ from blockslide import (
     Instance,
     InternalError,
     TokenSet,
-    compute_depths,
     compute_potentials,
     compute_ua,
     decide,
@@ -150,7 +149,7 @@ def check_rigid(inst):
     """rigid_vertices and the fixed point's zero counts against the
     recount; returns the rigid vertices found over both token sets."""
     bd = decompose(inst.graph)
-    ua = compute_ua(bd, compute_depths(bd))
+    ua = compute_ua(bd)
     found = 0
     for c in (inst.source, inst.target):
         pot = compute_potentials(bd, ua, c)
@@ -205,7 +204,7 @@ def test_rigid_check_fires_on_a_false_count(star):
     none trips the per-vertex check; it is a plain raise, so it survives
     python -O."""
     bd = decompose(star)
-    ua = compute_ua(bd, compute_depths(bd))
+    ua = compute_ua(bd)
     pot = compute_potentials(bd, ua, TokenSet(star, [1]))
     assert rigid_vertices(bd, ua, pot) == frozenset()
     centre = bd.index().node_of[0]

@@ -175,7 +175,7 @@ def test_first_error_in_line_order_wins():
     # end-of-file check
     with pytest.raises(VertexOutOfRangeError) as exc:
         parse_instance("p 3 2\ne 1 2\ne 2 7\ns\nq\nt\n")
-    assert str(exc.value) == "vertex 7 out of range for graph with 3 vertices"
+    assert str(exc.value) == "line 3: vertex 7 out of range for graph with 3 vertices"
     with pytest.raises(InstanceFormatError) as exc:
         parse_instance("p 3 2\ne 1 2\ne x 9\ns 1 1\nt\n")
     assert exc.value.line == 3 and "got 'x'" in str(exc.value)
@@ -186,11 +186,28 @@ def test_first_error_in_line_order_wins():
     with pytest.raises(InstanceFormatError) as exc:
         parse_instance("p 3 2\ne 1 2\np 3 2\ne 2 7\ns\nt\n")
     assert exc.value.line == 3 and "duplicate header" in str(exc.value)
+    # a token out of range is reported at its own line, also when the
+    # header comes after it
+    for text, line, v in [
+        ("p 3 0\ns 9\nq\n", 2, 9),
+        ("s 9\np 3 0\nq\n", 1, 9),
+        ("p 3 0\ns 1\nt 4\nq\n", 3, 4),
+    ]:
+        message = f"line {line}: vertex {v} out of range for graph with 3 vertices"
+        got = outcome(parse_instance, text)
+        assert got == ("error", VertexOutOfRangeError, message, line)
+        assert outcome(reference_parse_instance, text) == got
 
 
 def test_edge_faults_name_their_line_in_file_ids():
-    """A self-loop and an edge given twice are reported at their own line,
-    in the file's 1-based ids, before an error on any later line."""
+    """An endpoint out of range, a self-loop and an edge given twice are
+    reported at their own line, in the file's 1-based ids, before an error
+    on any later line."""
+    with pytest.raises(VertexOutOfRangeError) as exc:
+        parse_instance("p 3 2\ne 1 2\ne 2 9\ns 1\nt 1\n")
+    assert (str(exc.value), exc.value.line, exc.value.vertex) == (
+        "line 3: vertex 9 out of range for graph with 3 vertices", 3, 9
+    )
     with pytest.raises(SelfLoopError) as exc:
         parse_instance("p 3 2\ne 1 2\ne 3 3\ns 1\nt 1\n")
     assert (str(exc.value), exc.value.line, exc.value.vertex) == (
@@ -467,8 +484,8 @@ def test_fields_that_miss_the_id_table_take_the_line_walk(line_walks):
         beyond = f"{header}\ne {u} {n + 1}\n{rest}"
         got = outcome(parse_instance, beyond)
         assert got == outcome(reference_parse_instance, beyond)
-        assert got[:3] == ("error", VertexOutOfRangeError, f"vertex {n + 1} out of range "
-                           f"for graph with {n} vertices")
+        assert got == ("error", VertexOutOfRangeError, f"line 2: vertex {n + 1} out of range "
+                       f"for graph with {n} vertices", 2)
     assert len(line_walks) == 2 * len(texts)
 
 

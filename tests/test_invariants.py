@@ -16,7 +16,7 @@ def tables(g):
     """bd, and the depth and the ua of a Pair, read by its pair id."""
     bd = decompose(g)
     d = compute_depths(bd)
-    ua = compute_ua(bd, d).array
+    ua = compute_ua(bd).array
     return bd, lambda p: d[bd.pair_id(p)], lambda p: ua[bd.pair_id(p)]
 
 

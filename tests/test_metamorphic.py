@@ -17,7 +17,6 @@ from blockslide import (
     Graph,
     Instance,
     TokenSet,
-    compute_depths,
     compute_potentials,
     compute_ua,
     decide,
@@ -96,7 +95,7 @@ def test_rigid_set_is_constant_along_a_walk(case):
     ten points of the walk, since each check is one potential pass."""
     g, rng, k, _ = case
     bd = decompose(g)
-    ua = compute_ua(bd, compute_depths(bd))
+    ua = compute_ua(bd)
 
     def rigid(c):
         return rigid_vertices(bd, ua, compute_potentials(bd, ua, c))

@@ -8,7 +8,6 @@ from blockslide import (
     TruncatedSpaceError,
     UNKNOWN,
     YES,
-    compute_depths,
     compute_ua,
     decompose,
     enumerate_reachable,
@@ -89,16 +88,14 @@ def test_potential_table_matches_per_pair():
     inst = fuzz_corpus(1, seed=99)[0]
     g = inst.graph
     bd = decompose(g)
-    d = compute_depths(bd)
-    ua = compute_ua(bd, d)
+    ua = compute_ua(bd)
     table = oracle_potential_table(g, bd, ua, inst.source)
     assert table == [oracle_potential(g, bd, ua, inst.source, p) for p in bd.pairs()]
 
 
 def test_potential_none_on_truncation(path3):
     bd = decompose(path3)
-    d = compute_depths(bd)
-    ua = compute_ua(bd, d)
+    ua = compute_ua(bd)
     lim = OracleLimits(max_states=1)
     c = TokenSet(path3, [0])
     p = bd.pairs()[0]

@@ -49,7 +49,7 @@ def check_against_reference(inst):
     d = compute_depths(bd)
     ref_d = reference_depths(bd)
     assert d == ref_d
-    ua = compute_ua(bd, d)
+    ua = compute_ua(bd)
     assert ua.array == reference_ua(bd, ref_d)
     into = bd.index().into
     for c in (inst.source, inst.target):
@@ -96,7 +96,7 @@ def test_capacity_totals_equal_fresh_sums():
     capacities the same pass returns."""
     for inst in fuzz_corpus(500) + union_corpus(40):
         bd = decompose(inst.graph)
-        ua = compute_ua(bd, compute_depths(bd))
+        ua = compute_ua(bd)
         for c in (inst.source, inst.target):
             const = potential._constants(bd, ua, c.vertices)
             cap, total, zeros = potential._capacities(bd, ua, const)
@@ -110,10 +110,10 @@ def test_capacity_checks_fire_under_optimize():
         "import sys\n"
         "if __debug__:\n"
         "    sys.exit('not running under -O')\n"
-        "from blockslide import Graph, InternalError, compute_depths, compute_ua, decompose\n"
+        "from blockslide import Graph, InternalError, compute_ua, decompose\n"
         "from blockslide.potential import _capacities\n"
         "bd = decompose(Graph(3, [(0, 1), (1, 2)]))\n"
-        "ua = compute_ua(bd, compute_depths(bd))\n"
+        "ua = compute_ua(bd)\n"
         "ix = bd.index()\n"
         "for const, into in (([-5] * 4, (0, 2)), ([0] * 4, (0,))):\n"
         "    ix.into = ix.into[:2] + (into,)  # the cut vertex's (B,u) pairs\n"

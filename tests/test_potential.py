@@ -4,7 +4,6 @@ from blockslide import (
     Graph,
     TokenSet,
     capacity_table,
-    compute_depths,
     compute_potentials,
     compute_ua,
     decompose,
@@ -17,8 +16,7 @@ from reference_potential import restart_sweep_potentials
 
 def setup(g):
     bd = decompose(g)
-    d = compute_depths(bd)
-    ua = compute_ua(bd, d)
+    ua = compute_ua(bd)
     return bd, ua
 
 
@@ -54,8 +52,7 @@ CORPUS = fuzz_corpus(80, seed=37)
 def corpus_setups():
     for inst in CORPUS:
         bd = decompose(inst.graph)
-        d = compute_depths(bd)
-        ua = compute_ua(bd, d)
+        ua = compute_ua(bd)
         yield inst, bd, ua
 
 

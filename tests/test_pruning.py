@@ -63,7 +63,8 @@ MIXED = mixed_unions(400)
 def vertex_sets(monkeypatch):
     """Calls, by name, of the three functions that build vertex sets:
     the component sets of a decomposition, and the graph search for the
-    parts of a component minus its rigid vertices."""
+    parts of a component minus its rigid vertices; and of the depth pass,
+    which ua does not read."""
     calls = Counter()
 
     def count(owner, name):
@@ -78,6 +79,7 @@ def vertex_sets(monkeypatch):
     count(blocks.BlockDecomposition, "components")
     count(decide_mod, "_parts_after")
     count(decide_mod, "connected_components")
+    count(decide_mod, "compute_depths")
     return calls
 
 
@@ -85,7 +87,8 @@ def check_against_reference(insts, vertex_sets):
     """decide_connected equals the full-forest reference on every instance
     with equal sizes; returns the reasons seen, and the number of graph
     searches that reading the details ran.  Reading reachable and reason
-    builds no vertex set: the details are built when read."""
+    builds no vertex set and runs no depth pass: the details are built
+    when read."""
     reasons = set()
     searched = 0
     for inst in insts:

@@ -13,6 +13,7 @@ from .blocks import (
     decompose,
     is_block_graph,
 )
+from .decide import CountMismatch, Reachable, RigidMismatch, UnequalSize
 from .decide import Reason, Verdict, decide, decide_connected, rigid_vertices
 from .errors import (
     BlockslideError,
@@ -52,7 +53,8 @@ __all__ = [
     "BlockDecomposition", "Pair", "TO_BLOCK", "TO_VERTEX", "decompose",
     "is_block_graph",
     # decide
-    "Reason", "Verdict", "decide", "decide_connected", "rigid_vertices",
+    "CountMismatch", "Reachable", "Reason", "RigidMismatch", "UnequalSize",
+    "Verdict", "decide", "decide_connected", "rigid_vertices",
     # errors
     "BlockslideError", "DuplicateEdgeError", "InstanceFormatError",
     "InternalError", "InvalidPairError", "InvalidParamsError",

@@ -131,19 +131,6 @@ class BlockDecomposition:
             self._trees = 1 + max(self.component, default=-1)
         return self._trees
 
-    def components(self, holding=None):
-        """The vertex set of each connected component of the graph, in
-        order of least vertex; a component whose blocks a restriction
-        (see within) drops is empty.  Given holding, a container of
-        component indices, a component not in it gets None."""
-        label = self.component
-        parts = [[] if holding is None or i in holding else None for i in range(self.trees)]
-        for b in self.members:
-            part = parts[label[b[0]]]
-            if part is not None:
-                part += b
-        return [None if part is None else frozenset(part) for part in parts]
-
     def within(self, kept):
         """The decomposition of the components whose indices are in kept:
         the same graph, and the blocks of those components only, in their

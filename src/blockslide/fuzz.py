@@ -10,9 +10,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .blocks import decompose
-from .decide import Reason, decide, rigid_vertices
+from .decide import CountMismatch, Reachable, Reason, RigidMismatch, UnequalSize
+from .decide import decide, rigid_vertices
 from .errors import InvalidParamsError
 from .gen import GenParams, SplitMix64, gen_block_graph, gen_token_sets
+from .graph import connected_components
 from .instance import Instance
 from .invariants import compute_ua
 from .oracle import (
@@ -78,8 +80,16 @@ def evaluate_instance(inst, lim=OracleLimits()):
     decision, potential, capacity, fixedpoint, iteration, rigid, truncated.
     Under rigid, besides the oracle's never-token set, every (B,u) at
     potential 0 with ua must hold a token of B other than u: decide's
-    pruning of the trees with fewer than two tokens rests on it, and its
-    rigid sets must equal those of the full forest.
+    pruning of the trees with fewer than two tokens rests on it.
+    decide's certificate is checked against the full forest, the oracle
+    and a graph search: a Reachable's rigid set against the full forest's
+    (rigid) and its number of parts against the search's (decision); a
+    RigidMismatch's vertex against the full forest's rigid sets and the
+    never-token set, and its sides against its first two with ua at oracle
+    potential 0 (rigid); an UnequalSize's component or a CountMismatch's
+    part against the search's components of G or of G - R, and its counts
+    against every state each set reaches (decision).  A certificate of
+    another type than the reason's is reported under decision.
     Per-pair values are read by pair id.  Each pair's dependencies come from
     the closed forms kappa and beta, not from the pair index that the
     solver's passes walk, so the equations are checked independently of it.
@@ -193,24 +203,50 @@ def evaluate_instance(inst, lim=OracleLimits()):
 
     spaces = (space1, space2)
     rigids = [rigid_vertices(bd, ua, pot) for pot in pots]
-    for rigid, space in zip(rigids, spaces):
-        if not rigid <= never_token_vertices(space):
+    never = [never_token_vertices(space) for space in spaces]
+    for rigid, unreached in zip(rigids, never):
+        if not rigid <= unreached:
             failures.append(("rigid", f"rigid set {sorted(rigid)} not within never-token set"))
     if oracle_yes and rigids[0] != rigids[1]:
         failures.append(("rigid", "reachable sets have different rigid sets"))
-    details = verdict.details
-    if "rigid_source" in details and [details["rigid_source"], details["rigid_target"]] != rigids:
-        failures.append(("rigid", "decide's rigid sets differ from the full forest's"))
-    # A NO proof without potentials: the part's count is the same in every
-    # state each set reaches.
-    if verdict.reason is Reason.COMPONENT_COUNT_MISMATCH:
-        part, *counts = next(t for t in details["component_counts"] if t[1] != t[2])
-        mask = mask_of(part)
-        for name, k, space in zip(("source", "target"), counts, spaces):
-            if any((s & mask).bit_count() != k for s in space.visited):
-                failures.append(
-                    ("decision", f"{name}: part {sorted(part)} does not hold {k} tokens in every state")
-                )
+
+    # The certificate, against the full forest, the oracle and a graph
+    # search, which does not use the block-cut tree.
+    match verdict.reason, verdict.certificate:
+        case Reason.REACHABLE, Reachable(rigid, parts):
+            if [frozenset(rigid)] * 2 != rigids:
+                failures.append(("rigid", "decide's rigid sets differ from the full forest's"))
+            held = [comp for comp in connected_components(g) if not comp.isdisjoint(c1)]
+            found = sum(len(connected_components(g, rigid, within=comp)) for comp in held)
+            if parts != found:
+                failures.append(("decision", f"{parts} parts of G - R certified, {found} found"))
+        case Reason.RIGID_MISMATCH, RigidMismatch(u, rigid_for, sides):
+            which = ("source", "target").index(rigid_for)
+            if u not in rigids[which] or u in rigids[1 - which] or u not in never[which]:
+                failures.append(("rigid", f"{rigid_for}: vertex {u} is not rigid for it alone"))
+            # u's first two sides (B,u) with ua at oracle potential 0
+            zero = [(bd.members[b], u) for b in bd.blocks_of[u]
+                    if (i := edge.get((u, b))) is not None and a[i] and not otabs[which][i]]
+            if len(sides) != 2 or sides != tuple(zero[:2]):
+                failures.append(("rigid", f"{rigid_for}: {sides} are not the sides of {u} at 0 with ua"))
+        case (Reason.UNEQUAL_SIZE, UnequalSize(part, counts)) | (
+            Reason.COMPONENT_COUNT_MISMATCH, CountMismatch(part, counts)
+        ):
+            # A NO proof without potentials: the component of G, or of
+            # G - R, holds the same count in every state each set reaches.
+            split = verdict.reason is Reason.COMPONENT_COUNT_MISMATCH
+            comps = connected_components(g, rigids[0] if split else ())
+            if counts[0] == counts[1] or frozenset(part) not in comps:
+                graph = "G - R" if split else "G"
+                failures.append(("decision", f"{list(part)} is not a component of {graph} whose counts differ"))
+            mask = mask_of(part)
+            for name, k, space in zip(("source", "target"), counts, spaces):
+                if any((s & mask).bit_count() != k for s in space.visited):
+                    failures.append(
+                        ("decision", f"{name}: part {list(part)} does not hold {k} tokens in every state")
+                    )
+        case reason, cert:
+            failures.append(("decision", f"{reason.value} certified by {cert!r}"))
 
     return InstanceReport(failures, oracle_yes=oracle_yes, verdict=verdict)
 

@@ -4,11 +4,16 @@ import tracemalloc
 import pytest
 
 from blockslide import (
+    CountMismatch,
     Graph,
     NotABlockGraphError,
     NotIndependentError,
+    Reachable,
     Reason,
+    RigidMismatch,
     TokenSet,
+    UnequalSize,
+    Verdict,
     VertexOutOfRangeError,
     YES,
     connected_components,
@@ -22,6 +27,7 @@ from blockslide import (
     render_instance,
     rigid_vertices,
 )
+from blockslide.fuzz import gen_fuzz_instance
 from conftest import fuzz_corpus, shuffled_unions, union_corpus
 
 
@@ -122,35 +128,46 @@ def test_disconnected_per_component_counts():
     v = decide(g, TokenSet(g, [0]), TokenSet(g, [3]))
     assert not v.reachable
     assert v.reason is Reason.UNEQUAL_SIZE
-    assert v.details == {"component": frozenset({0, 1, 2}), "counts": (1, 0)}
+    assert v.certificate == UnequalSize(component=(0, 1, 2), counts=(1, 0))
     # the first component in order of least vertex whose counts differ
     v = decide(g, TokenSet(g, [0, 5]), TokenSet(g, [3, 5]))
-    assert v.details == {"component": frozenset({0, 1, 2}), "counts": (1, 0)}
+    assert v.certificate == UnequalSize((0, 1, 2), (1, 0))
     v = decide(g, TokenSet(g, [1, 3]), TokenSet(g, [0, 2]))
-    assert v.details == {"component": frozenset({0, 1, 2}), "counts": (1, 2)}
+    assert v.certificate == UnequalSize((0, 1, 2), (1, 2))
+    # unequal totals: the first component whose counts differ, here the second
+    v = decide(g, TokenSet(g, [0, 3]), TokenSet(g, [2]))
+    assert v.certificate == UnequalSize((3, 4, 5), (1, 0))
     # matching per-component counts: both components slide internally
     v = decide(g, TokenSet(g, [0, 3]), TokenSet(g, [2, 5]))
     assert v.reachable
 
 
-def test_decide_connected_requires_equal_sizes(path3):
-    bd = decompose(path3)
-    with pytest.raises(ValueError):
-        decide_connected(path3, bd, TokenSet(path3, [0]), TokenSet(path3, [0, 2]))
+def test_decide_connected_certifies_unequal_totals(path3):
+    """Unequal totals differ in some component, so they are certified as
+    any other per-component counts are."""
+    v = decide_connected(decompose(path3), TokenSet(path3, [0]), TokenSet(path3, [0, 2]))
+    assert v == Verdict(False, Reason.UNEQUAL_SIZE, UnequalSize((0, 1, 2), (1, 2)))
 
 
 def test_verdict_details_present(star):
     v = decide(star, TokenSet(star, [1, 2]), TokenSet(star, [1, 3]))
-    # the leaf tokens pin the centre, and the leaves' counts differ
+    # the leaf tokens pin the centre; of the parts {1}, {2} and {3}, the
+    # first whose counts differ is {2}
     assert v.reason is Reason.COMPONENT_COUNT_MISMATCH
-    assert v.details == {
-        "rigid_source": {0},
-        "rigid_target": {0},
-        "component_counts": [
-            (frozenset({1}), 1, 1), (frozenset({2}), 1, 0), (frozenset({3}), 0, 1)
-        ],
-        "component": {0, 1, 2, 3},
-    }
+    assert v.certificate == CountMismatch(part=(2,), counts=(1, 0))
+
+
+def test_rigid_mismatch_names_the_vertex_and_its_two_sides():
+    """A star centred at 0 whose leaf 1 has a pendant 2.  The leaf tokens
+    3 and 4 pin the centre for the target only, as token 1 can leave for
+    2: the centre's sides (B,0) at potential 0 with ua are the blocks
+    {0, 3} and {0, 4}, whose leaves hold the tokens."""
+    g = Graph(5, [(0, 1), (1, 2), (0, 3), (0, 4)])
+    v = decide(g, [1, 4], [3, 4])
+    assert v.reason is Reason.RIGID_MISMATCH
+    assert v.certificate == RigidMismatch(
+        vertex=0, rigid_for="target", sides=(((0, 3), 0), ((0, 4), 0))
+    )
 
 
 def test_component_details_use_original_ids():
@@ -158,15 +175,25 @@ def test_component_details_use_original_ids():
     g = Graph(8, [(0, 1), (1, 2), (2, 3), (4, 5), (4, 6), (4, 7)])
     v = decide(g, [0, 5, 6], [0, 5, 6])
     assert v.reachable
-    # the path holds one token, so it has no rigid vertex and is one part
-    assert v.details == {
-        "rigid_source": frozenset({4}),
-        "rigid_target": frozenset({4}),
-        "component_counts": [
-            (frozenset({0, 1, 2, 3}), 1, 1),
-            (frozenset({5}), 1, 1), (frozenset({6}), 1, 1), (frozenset({7}), 0, 0),
-        ],
-    }
+    # the path holds one token, so it has no rigid vertex and is one part;
+    # the star's are {5}, {6} and {7}
+    assert v.certificate == Reachable(rigid=(4,), parts=4)
+
+
+def test_adjacent_rigid_vertices_leave_a_piece_with_no_vertex():
+    """On fuzz seed 1637 the rigid vertices 2 and 3 are adjacent, so the
+    block {2, 3} is a piece of the cut tree that holds no vertex of
+    G - R, and is not a part."""
+    inst = gen_fuzz_instance(1637)
+    g = inst.graph
+    assert sorted(g.edges) == [
+        (0, 1), (0, 2), (1, 2), (2, 3), (2, 6), (3, 4), (3, 5), (3, 7), (4, 5)
+    ]
+    v = decide(g, inst.source, inst.target)
+    assert v.certificate == Reachable(rigid=(2, 3), parts=4)
+    assert connected_components(g, without={2, 3}) == [
+        frozenset({0, 1}), frozenset({4, 5}), frozenset({6}), frozenset({7})
+    ]
 
 
 def test_decide_copies_no_subgraph(monkeypatch):
@@ -180,8 +207,8 @@ def test_decide_copies_no_subgraph(monkeypatch):
     assert decide(g, [0, 3, 7, 8], [2, 5, 7, 8]).reachable
     v = decide(g, [0, 3, 7, 8], [2, 5, 7, 9])
     assert v.reason is Reason.COMPONENT_COUNT_MISMATCH
-    assert v.details["component"] == {6, 7, 8, 9}
-    assert v.details["rigid_source"] == v.details["rigid_target"] == {6}
+    # the leaves 7 and 8 pin the centre 6, and the part {8}'s counts differ
+    assert v.certificate == CountMismatch((8,), (1, 0))
 
 
 def test_decide_reads_no_edge_set(monkeypatch):
@@ -233,10 +260,15 @@ def test_decision_matches_oracle_sample(idx):
 
 @pytest.mark.parametrize("idx", range(0, 150, 5))
 def test_rigid_sets_equal_when_reachable(idx):
+    """A YES certifies one rigid set, each set's on the full forest."""
     inst = CORPUS[idx]
     v = decide(inst.graph, inst.source, inst.target)
     if v.reachable:
-        assert v.details["rigid_source"] == v.details["rigid_target"]
+        bd = decompose(inst.graph)
+        ua = compute_ua(bd)
+        for c in (inst.source, inst.target):
+            rigid = rigid_vertices(bd, ua, compute_potentials(bd, ua, c))
+            assert v.certificate.rigid == tuple(sorted(rigid))
 
 
 def _decide_path_peak(n):
@@ -261,14 +293,14 @@ def test_memory_grows_linearly():
 
 
 def test_a_held_verdict_keeps_no_pair_index():
-    """The details are built when read, from what the verdict holds: the
-    graph, the two token sets, the rigid sets and the counts, and no
+    """A held verdict keeps its certificate alone: no graph, token set,
     decomposition or pair index.  On a 16,384-vertex path with every
     fourth vertex a token, DFS already run, the bytes still allocated
-    after decide are the two token sets decide builds from the lists
-    (about 330 kB) plus freed small tuples that CPython keeps for reuse
-    (about 110 kB): 442,656 bytes with Python 3.11.  With the details an
-    eager dict holding the path's vertex set, the same count was 638,544."""
+    after decide are mostly freed small tuples that CPython keeps for
+    reuse: 114,024 bytes with Python 3.11.  When the verdict kept the two
+    token sets decide builds from the lists (about 330 kB), to build its
+    details on first read, the count was 442,656; with the details an
+    eager dict holding the path's vertex set, it was 638,544."""
     n = 16_384
     g = Graph(n, [(i, i + 1) for i in range(n - 1)])
     decompose(g)
@@ -279,16 +311,16 @@ def test_a_held_verdict_keeps_no_pair_index():
         held = tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
-    assert held <= 526_400, held
-    assert v.details["component_counts"] == [(frozenset(range(n)), n // 4, n // 4)]
+    assert held <= 135_600, held
+    assert v.certificate == Reachable(rigid=(), parts=1)
 
 
 @pytest.mark.parametrize("corpus", ["fuzz", "unions"])
 def test_parts_split_only_components_with_rigid_vertices(corpus):
-    """A component's parts, as the search over the whole graph minus the
-    rigid vertices finds them, for fuzz seeds 0..2999 and the shuffled
-    unions; the verdict lists exactly those of each component with
-    tokens, in order of least vertex, up to the component that decides."""
+    """The parts of G - R, as the search over the whole graph minus the
+    full forest's rigid vertices finds them in the components with
+    tokens, for fuzz seeds 0..2999 and the shuffled unions: a Reachable
+    counts exactly those, and a CountMismatch names one of them."""
     if corpus == "fuzz":
         insts = fuzz_corpus(3000)
     else:
@@ -296,24 +328,22 @@ def test_parts_split_only_components_with_rigid_vertices(corpus):
     split = 0
     for inst in insts:
         g, c1, c2 = inst.graph, inst.source, inst.target
-        verdict = decide(g, c1, c2)
-        if "rigid_source" not in verdict.details:
+        cert = decide(g, c1, c2).certificate
+        if not isinstance(cert, (Reachable, CountMismatch)):
             continue
-        rigid = verdict.details["rigid_source"]
-        decided = verdict.details.get("component")
-        expected = []
-        for comp in connected_components(g):
-            if comp.isdisjoint(c1):
-                continue
-            if comp == decided and verdict.reason is Reason.RIGID_MISMATCH:
-                break  # lists no parts
-            expected += [
-                (part, sum(v in part for v in c1), sum(v in part for v in c2))
-                for part in connected_components(g, without=rigid)
-                if part <= comp
-            ]
-            split += not rigid.isdisjoint(comp)
-            if comp == decided:
-                break
-        assert verdict.details["component_counts"] == expected
+        bd = decompose(g)
+        ua = compute_ua(bd)
+        rigid = rigid_vertices(bd, ua, compute_potentials(bd, ua, c1))
+        held = [comp for comp in connected_components(g) if not comp.isdisjoint(c1)]
+        parts = [
+            part for part in connected_components(g, without=rigid)
+            if any(part <= comp for comp in held)
+        ]
+        if isinstance(cert, Reachable):
+            assert cert == Reachable(tuple(sorted(rigid)), len(parts))
+        else:
+            part = frozenset(cert.part)
+            assert part in parts
+            assert cert.counts == (sum(v in part for v in c1), sum(v in part for v in c2))
+        split += any(not rigid.isdisjoint(comp) for comp in held)
     assert split > 10

@@ -4,15 +4,28 @@ The graphs are grown from K1..K6 by gluing a clique at one vertex, with
 labelled duplicates removed but not isomorphic copies.  The oracle classes
 join the independent sets one slide apart with union-find.  Two token sets
 are in one class exactly when they have the same rigid set and the same
-token count in every part of G - R, which decide(g, c, c).details lists.
+token count in every part of G - R, the parts as reference_decide's graph
+search finds them; decide(g, c, c) certifies that rigid set and the
+number of those parts.
 On the same graphs, ua without the paper's depth-0 rule equals the
 reference that keeps it.
 """
 
 from itertools import combinations
 
-from blockslide import Graph, TokenSet, compute_ua, decide, decompose
+from blockslide import (
+    Graph,
+    Reachable,
+    TokenSet,
+    compute_potentials,
+    compute_ua,
+    decide,
+    decompose,
+    rigid_vertices,
+)
+from blockslide.graph import connected_components
 from blockslide.oracle import adjacency_masks, vertices_of
+from reference_decide import parts_after
 from reference_passes import reference_depths, reference_ua
 
 MAX_N = 6
@@ -98,12 +111,17 @@ def test_ua_needs_no_depth():
 
 
 def class_key(g, c):
-    """The rigid set and the token count of every part of G - R."""
-    details = decide(g, c, c).details
-    assert details["rigid_source"] == details["rigid_target"]
-    counts = tuple((part, a) for part, a, b in details["component_counts"])
-    assert all(a == b for _, a, b in details["component_counts"])
-    return details["rigid_source"], counts
+    """The rigid set R and the token count of every part of G - R in the
+    components holding tokens."""
+    bd = decompose(g)
+    ua = compute_ua(bd)
+    rigid = rigid_vertices(bd, ua, compute_potentials(bd, ua, c))
+    counts = tuple(
+        (part, a)
+        for comp in connected_components(g) if not comp.isdisjoint(c)
+        for part, a, _ in parts_after(g, comp, rigid & comp, c, c)
+    )
+    return rigid, counts
 
 
 def test_key_partition_equals_oracle_classes():
@@ -113,6 +131,15 @@ def test_key_partition_equals_oracle_classes():
             key = class_key(g, c)
             assert keys.setdefault(root[m], key) == key, (g.n, m)
         assert len(set(keys.values())) == len(keys), g.n
+
+
+def test_certificate_of_a_set_against_itself_is_its_key():
+    """decide(g, c, c) certifies the key's rigid set and its number of
+    parts, on every independent set."""
+    for g, tokens, _ in CASES:
+        for c in tokens.values():
+            rigid, counts = class_key(g, c)
+            assert decide(g, c, c).certificate == Reachable(tuple(sorted(rigid)), len(counts))
 
 
 def test_decide_matches_oracle_classes():

@@ -6,13 +6,23 @@ import os
 import subprocess
 import sys
 from collections import defaultdict
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
 import blockslide
 import blockslide.fuzz as fuzz_mod
-from blockslide import BlockDecomposition, Graph, InternalError, Reason, decide
+from blockslide import (
+    BlockDecomposition,
+    Graph,
+    Instance,
+    InternalError,
+    Reachable,
+    Reason,
+    TokenSet,
+    decide,
+)
 from blockslide.fuzz import evaluate_instance, gen_fuzz_instance
 
 # The package attribute blockslide.decide is the function.
@@ -117,7 +127,7 @@ def test_decide_rigid_set_off_the_full_forest_is_reported(monkeypatch):
     one still answers YES, and only that check fires."""
     inst = gen_fuzz_instance(0)
     report = evaluate_instance(inst)
-    assert report.violations == [] and report.verdict.details["rigid_source"]
+    assert report.violations == [] and report.verdict.certificate.rigid
     original = decide_mod.rigid_vertices
 
     def rigid_vertices(bd, ua, pot):
@@ -163,40 +173,84 @@ def test_token_on_its_own_rigid_vertex_raises(monkeypatch):
         decide(inst.graph, inst.source, inst.target)
 
 
-def test_details_that_disagree_with_the_labels_raise(monkeypatch):
-    """The details' graph search cross-checks the labels' verdict when read.
-    A P3 with both leaves as tokens is analysed; beside it a P3 holding one
-    token of each set, on different leaves, is not.  Calling the second
-    P3's centre rigid leaves the labels' answer YES, since it has no node
-    in the analysed trees, while the search splits that P3 into two parts
-    whose counts differ."""
+def test_a_rigid_vertex_off_the_analysed_trees_is_reported(monkeypatch):
+    """The certificate is checked against the full forest and a graph
+    search.  A P3 with both leaves as tokens is analysed; beside it a P3
+    holding one token of each set, on different leaves, is not.  Calling
+    the second P3's centre rigid leaves decide's answer YES, since it has
+    no node in the analysed trees, and its parts uncut; the full forest
+    has no such rigid vertex, and the search splits that P3 in two."""
     g = Graph(6, [(0, 1), (1, 2), (3, 4), (4, 5)])
+    inst = Instance(g, TokenSet(g, [0, 2, 3]), TokenSet(g, [0, 2, 5]))
     original = decide_mod.rigid_vertices
     monkeypatch.setattr(
         decide_mod, "rigid_vertices", lambda bd, ua, pot: original(bd, ua, pot) | {4}
     )
-    verdict = decide(g, [0, 2, 3], [0, 2, 5])
-    assert verdict.reachable
-    with pytest.raises(InternalError, match="the graph search stops at"):
-        verdict.details["component_counts"]
+    report = evaluate_instance(inst)
+    assert report.verdict.certificate == Reachable(rigid=(1, 4), parts=3)
+    assert report.violations == [
+        ("rigid", "decide's rigid sets differ from the full forest's"),
+        ("decision", "3 parts of G - R certified, 4 found"),
+    ]
+
+
+def with_certificate(monkeypatch, **fields):
+    """decide in evaluate_instance returns its certificate with fields
+    replaced."""
+    def decide(g, c1, c2):
+        verdict = decide_mod.decide(g, c1, c2)
+        return replace(verdict, certificate=replace(verdict.certificate, **fields))
+
+    monkeypatch.setattr(fuzz_mod, "decide", decide)
+
+
+def test_a_rigid_mismatch_side_off_potential_zero_is_reported(monkeypatch):
+    """A star centred at 0 whose leaf 1 has a pendant 2: the leaf tokens
+    3 and 4 pin the centre for the target alone.  A certified side
+    (B,0) with B = {0, 1}, whose potential is not 0, is reported."""
+    g = Graph(5, [(0, 1), (1, 2), (0, 3), (0, 4)])
+    inst = Instance(g, TokenSet(g, [1, 4]), TokenSet(g, [3, 4]))
+    assert evaluate_instance(inst).violations == []
+    with_certificate(monkeypatch, sides=(((0, 3), 0), ((0, 1), 0)))
+    assert evaluate_instance(inst).violations == [
+        ("rigid", "target: (((0, 3), 0), ((0, 1), 0)) are not the sides of 0 at 0 with ua"),
+    ]
+
+
+def test_a_count_mismatch_part_off_the_graph_search_is_reported(monkeypatch):
+    """The star's leaf tokens pin its centre 0, and the part {2}'s counts
+    differ.  A certified part {1, 2}, which the centre's removal splits,
+    is reported even with the counts it holds in every state."""
+    g = Graph(4, [(0, 1), (0, 2), (0, 3)])
+    inst = Instance(g, TokenSet(g, [1, 2]), TokenSet(g, [1, 3]))
+    assert evaluate_instance(inst).violations == []
+    with_certificate(monkeypatch, part=(1, 2), counts=(2, 1))
+    assert evaluate_instance(inst).violations == [
+        ("decision", "[1, 2] is not a component of G - R whose counts differ"),
+    ]
 
 
 def test_the_checks_fire_under_optimize():
-    """Both checks are plain raises, so they still fire under python -O."""
+    """The raise on a token on its own rigid vertex, and the certificate
+    checks of evaluate_instance, still fire under python -O."""
     script = (
         "import importlib, sys\n"
         "if __debug__:\n"
         "    sys.exit('not running under -O')\n"
-        "from blockslide import Graph, InternalError, decide\n"
+        "from blockslide import Graph, Instance, InternalError, TokenSet, decide\n"
+        "from blockslide.fuzz import evaluate_instance\n"
         "dm = importlib.import_module('blockslide.decide')\n"
         "g = Graph(6, [(0, 1), (1, 2), (3, 4), (4, 5)])\n"
         "original = dm.rigid_vertices\n"
-        "for extra in (0, 4):\n"
-        "    dm.rigid_vertices = lambda bd, ua, pot: original(bd, ua, pot) | {extra}\n"
-        "    try:\n"
-        "        decide(g, [0, 2, 3], [0, 2, 5]).details['component_counts']\n"
-        "    except InternalError as exc:\n"
-        "        print(exc)\n"
+        "dm.rigid_vertices = lambda bd, ua, pot: original(bd, ua, pot) | {0}\n"
+        "try:\n"
+        "    decide(g, [0, 2, 3], [0, 2, 5])\n"
+        "except InternalError as exc:\n"
+        "    print(exc)\n"
+        "dm.rigid_vertices = lambda bd, ua, pot: original(bd, ua, pot) | {4}\n"
+        "inst = Instance(g, TokenSet(g, [0, 2, 3]), TokenSet(g, [0, 2, 5]))\n"
+        "for _, message in evaluate_instance(inst).violations:\n"
+        "    print(message)\n"
     )
     result = subprocess.run(
         [sys.executable, "-O", "-c", script],
@@ -204,7 +258,8 @@ def test_the_checks_fire_under_optimize():
         capture_output=True, text=True, timeout=60,
     )
     assert result.returncode == 0, result.stderr
-    lines = result.stdout.splitlines()
-    assert len(lines) == 2, lines
-    assert lines[0] == "source token on its own rigid vertex 0"
-    assert lines[1].startswith("the graph search stops at")
+    assert result.stdout.splitlines() == [
+        "source token on its own rigid vertex 0",
+        "decide's rigid sets differ from the full forest's",
+        "3 parts of G - R certified, 4 found",
+    ]

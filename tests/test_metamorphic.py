@@ -13,9 +13,12 @@ import random
 import pytest
 
 from blockslide import (
+    CountMismatch,
     GenParams,
     Graph,
     Instance,
+    Reachable,
+    RigidMismatch,
     TokenSet,
     compute_potentials,
     compute_ua,
@@ -26,6 +29,21 @@ from blockslide import (
     rigid_vertices,
 )
 from conftest import disjoint_union
+
+
+def shifted(cert, offset):
+    """A certificate in the ids of a union in which its graph's vertices
+    start at offset."""
+    def ids(vertices):
+        return tuple(v + offset for v in vertices)
+
+    match cert:
+        case Reachable(rigid, parts):
+            return Reachable(ids(rigid), parts)
+        case RigidMismatch(u, which, sides):
+            return RigidMismatch(u + offset, which, tuple((ids(b), w + offset) for b, w in sides))
+        case CountMismatch(part, counts):
+            return CountMismatch(ids(part), counts)
 
 
 def path(n):
@@ -140,21 +158,14 @@ def test_disjoint_union_is_decided_per_component():
         alone = [decide(i.graph, i.source, i.target) for i in insts]
         reachable = [v.reachable for v in alone]
         assert verdict.reachable == all(reachable)
-        # the union's details are the parts' in the union's vertex ids:
-        # whole-graph rigid sets, and the parts' lists up to the first NO
-        stop = reachable.index(False) + 1 if False in reachable else len(alone)
-        assert verdict.reason is alone[stop - 1].reason
-        expected = {"rigid_source": set(), "rigid_target": set(), "component_counts": []}
-        offset = 0
-        for i, (g, v) in enumerate(zip(parts, alone)):
-            for key in ("rigid_source", "rigid_target"):
-                expected[key] |= {u + offset for u in v.details[key]}
-            if i < stop:
-                expected["component_counts"] += [
-                    (frozenset(u + offset for u in part), a, b)
-                    for part, a, b in v.details["component_counts"]
-                ]
-            if i == stop - 1 and not v.reachable:
-                expected["component"] = frozenset(range(offset, offset + g.n))
-            offset += g.n
-        assert verdict.details == expected
+        # the union's certificate is in the union's vertex ids: the parts'
+        # rigid sets and part counts together, or the first NO's own
+        stop = reachable.index(False) if False in reachable else None
+        offsets = [sum(g.n for g in parts[:i]) for i in range(len(parts))]
+        certs = [shifted(v.certificate, k) for v, k in zip(alone, offsets)]
+        if stop is None:
+            rigid = sum((cert.rigid for cert in certs), ())
+            assert verdict.certificate == Reachable(rigid, sum(cert.parts for cert in certs))
+        else:
+            assert verdict.reason is alone[stop].reason
+            assert verdict.certificate == certs[stop]

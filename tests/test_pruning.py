@@ -3,8 +3,8 @@
 A component with fewer tokens has no rigid vertex (see blockslide.decide),
 so decide builds the pair index and runs the passes over the other trees'
 blocks alone.  Its verdicts must equal those of the full-forest pass in
-reference_decide, details included, and a tree it leaves out must cost no
-pair.
+reference_decide, certificates included, and a tree it leaves out must
+cost no pair.
 """
 
 import importlib
@@ -17,6 +17,7 @@ import blockslide.blocks as blocks
 from blockslide import (
     Graph,
     Instance,
+    Reachable,
     Reason,
     TokenSet,
     decide,
@@ -60,11 +61,9 @@ MIXED = mixed_unions(400)
 
 
 @pytest.fixture
-def vertex_sets(monkeypatch):
-    """Calls, by name, of the three functions that build vertex sets:
-    the component sets of a decomposition, and the graph search for the
-    parts of a component minus its rigid vertices; and of the depth pass,
-    which ua does not read."""
+def searches(monkeypatch):
+    """Calls, by name, of the graph search for components and of the depth
+    pass, neither of which decide runs."""
     calls = Counter()
 
     def count(owner, name):
@@ -76,62 +75,47 @@ def vertex_sets(monkeypatch):
 
         monkeypatch.setattr(owner, name, counted)
 
-    count(blocks.BlockDecomposition, "components")
-    count(decide_mod, "_parts_after")
     count(decide_mod, "connected_components")
     count(decide_mod, "compute_depths")
     return calls
 
 
-def check_against_reference(insts, vertex_sets):
-    """decide_connected equals the full-forest reference on every instance
-    with equal sizes; returns the reasons seen, and the number of graph
-    searches that reading the details ran.  Reading reachable and reason
-    builds no vertex set and runs no depth pass: the details are built
-    when read."""
+def check_against_reference(insts, searches):
+    """decide_connected equals the full-forest reference on every instance,
+    certificate included, and runs no graph search and no depth pass;
+    returns the reasons seen."""
     reasons = set()
-    searched = 0
     for inst in insts:
         g, c1, c2 = inst.graph, inst.source, inst.target
-        if len(c1) != len(c2):
-            continue
-        got = decide_connected(g, decompose(g), c1, c2)
-        reachable, reason = got.reachable, got.reason
-        assert not vertex_sets, vertex_sets
-        want = reference_decide_connected(g, decompose(g), c1, c2)
-        assert reachable == want.reachable
-        assert reason is want.reason
-        assert got.details == want.details
-        searched += vertex_sets["connected_components"]
-        vertex_sets.clear()
-        reasons.add(reason)
-    return reasons, searched
+        got = decide_connected(decompose(g), c1, c2)
+        assert not searches, searches
+        assert got == reference_decide_connected(g, decompose(g), c1, c2)
+        reasons.add(got.reason)
+    return reasons
 
 
 @pytest.mark.parametrize("start", range(0, 3000, 500))
-def test_verdicts_equal_reference_on_fuzz_corpus(start, vertex_sets):
-    check_against_reference(fuzz_corpus(500, seed=start), vertex_sets)
+def test_verdicts_equal_reference_on_fuzz_corpus(start, searches):
+    check_against_reference(fuzz_corpus(500, seed=start), searches)
 
 
-def test_verdicts_equal_reference_on_shuffled_unions(vertex_sets):
-    check_against_reference(shuffled_unions(random.Random("pruning")), vertex_sets)
+def test_verdicts_equal_reference_on_shuffled_unions(searches):
+    check_against_reference(shuffled_unions(random.Random("pruning")), searches)
 
 
-def test_verdicts_equal_reference_on_mixed_unions(vertex_sets):
-    reasons, searched = check_against_reference(MIXED, vertex_sets)
-    assert reasons == set(Reason)
-    assert searched > 0
+def test_verdicts_equal_reference_on_mixed_unions(searches):
+    assert check_against_reference(MIXED, searches) == set(Reason)
 
 
 @pytest.mark.parametrize("shape", sorted(LADDER))
-def test_verdicts_equal_reference_on_ladder_shapes(shape, vertex_sets):
+def test_verdicts_equal_reference_on_ladder_shapes(shape, searches):
     """A quarter of the vertices as tokens, at 64 and 1,024 vertices."""
     insts = []
     for n in (64, 1024):
         g = LADDER[shape](n)
         insts.append(Instance(g, *gen_token_sets(g, g.n // 4, 1, 2)))
         insts.append(Instance(g, insts[-1].source, insts[-1].source))
-    check_against_reference(insts, vertex_sets)
+    check_against_reference(insts, searches)
 
 
 def token_counts(inst, c):
@@ -191,8 +175,5 @@ def test_index_covers_only_the_trees_with_two_tokens(indices):
     verdict = decide(g, [0, 2], [0, 2])
     assert indices == [4]
     assert verdict.reachable
-    assert verdict.details == {
-        "rigid_source": {1},
-        "rigid_target": {1},
-        "component_counts": [(frozenset({0}), 1, 1), (frozenset({2}), 1, 1)],
-    }
+    # the path holds no token, so only the P3's parts {0} and {2} count
+    assert verdict.certificate == Reachable(rigid=(1,), parts=2)

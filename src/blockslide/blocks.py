@@ -4,6 +4,12 @@ Block ids are canonical: blocks are sorted lexicographically by their sorted
 member lists and numbered in that order.  Every downstream iteration order
 (depth/ua tables, the fixed-point pass order, CLI output) derives from this,
 so fuzz failures replay bit-for-bit.
+
+The canonical order of pairs is by cut vertex, then block, (B,u) before
+(u,B); the CLI prints pairs in it.  A pair's id is instead its position in
+a rooted order of the block-cut forest (see PairIndex), in which every pair
+follows its dependencies: pair p's reverse is last - p, and p is a (B,u)
+exactly when node[p] is a block.
 """
 
 from __future__ import annotations
@@ -65,10 +71,11 @@ class BlockDecomposition:
     the same DFS fills.  A decomposition built by within() keeps the
     members of some components only; members is then that subsequence.
 
-    Pairs go by integer id (see PairIndex), and every per-pair result is a
-    list indexed by it.  pairs() and pair_id convert between ids and Pair
-    objects, which only the definitional queries (kappa, beta and the side
-    walks) take and messages print.
+    Pairs go by integer id, their position in the rooted order (see
+    PairIndex), and every per-pair result is a list indexed by it.  pairs()
+    and pair_id convert between ids and Pair objects, which only the
+    definitional queries (kappa, beta and the side walks) take and messages
+    print.
 
     Immutable after construction; all queries are pure.
     """
@@ -144,13 +151,14 @@ class BlockDecomposition:
         return BlockDecomposition(self.graph, members)
 
     def pairs(self):
-        """Both orientations of every tree edge, in canonical order: by
-        base, then block, (B,u) before (u,B).  Position i holds pair id i."""
+        """Both orientations of every tree edge, in id order, the rooted
+        order of PairIndex: position i holds pair id i."""
         if self._pairs is None:
             ix = self.index()
+            nblocks = len(self.members)
             self._pairs = tuple(
-                Pair(TO_BLOCK if p & 1 else TO_VERTEX, u, b)
-                for p, (u, b) in enumerate(zip(ix.base, ix.block))
+                Pair(TO_VERTEX if x < nblocks else TO_BLOCK, u, b)
+                for x, u, b in zip(ix.node, ix.base, ix.block)
             )
         return self._pairs
 
@@ -160,11 +168,11 @@ class BlockDecomposition:
         ix = self.index()
         if 0 <= p.base < self.graph.n:
             x = ix.node_of[p.base]
-            if x >= len(self.members):  # a cut vertex, with ids into[x]
-                lo, hi = ix.into[x][0], ix.into[x][-1] + 2
-                i = bisect_left(ix.block, p.block, lo, hi)
-                if i < hi and ix.block[i] == p.block:
-                    return i + (0 if p.is_to_vertex else 1)
+            if x >= len(self.members):  # a cut vertex: into[x] holds its (B,u)
+                sides = ix.into[x]  # by block id
+                i = bisect_left(sides, p.block, key=ix.block.__getitem__)
+                if i < len(sides) and ix.block[sides[i]] == p.block:
+                    return sides[i] if p.is_to_vertex else ix.last - sides[i]
         raise InvalidPairError(f"pair {p} is not valid for this decomposition")
 
     def kappa(self, bid, u):
@@ -194,15 +202,16 @@ class BlockDecomposition:
         side = self._side_cache.get(i)
         if side is None:
             ix = self.index()
+            nblocks, last = len(self.members), ix.last
             count, verts = 0, {p.base}
             stack = [i]
             while stack:
                 q = stack.pop()
                 x = ix.node[q]
-                if not q & 1:  # (B,u) starts from node B, block B itself
+                if x < nblocks:  # (B,u) starts from node B, block B itself
                     count += 1
                     verts.update(self.members[x])
-                stack += [r for r in ix.into[x] if r != q ^ 1]
+                stack += [r for r in ix.into[x] if r != last - q]
             side = self._side_cache[i] = (count, frozenset(verts))
         return side
 
@@ -226,47 +235,45 @@ class BlockDecomposition:
 class PairIndex:
     """Integer ids for the pairs of a decomposition, in flat lists.
 
-    Pair 2k is (B,u) and pair 2k+1 is (u,B) for the k-th tree edge u--B of
-    the canonical order, so a pair's direction is its low bit (0 for
-    TO_VERTEX) and its reverse is p ^ 1.  base[p] and block[p] name it.
-    Depths, ua, capacities and potentials are plain lists in this order.
-
     Tree nodes are numbered blocks first (node B is block B), then cut
     vertices in increasing order.  node_of[v] is v's node if v is a cut
     vertex, else the one block holding v.  node[p] is the node p's side
-    starts from: B for (B,u), u for (u,B).  into[x] is the tuple of pairs
-    whose sides lie beyond x's tree edges: the (v,B) pairs of block B, or
-    the (B,u) pairs of cut vertex u, each in canonical order.  A pair
-    depends on into[node[p]] without p ^ 1, so len(into[B]) is B's
-    cut-vertex count.
+    starts from: B for (B,u), u for (u,B), so p is a (B,u) exactly when
+    node[p] is below the number of blocks.  base[p] and block[p] name it.
+    into[x] is the tuple of pairs whose sides lie beyond x's tree edges, in
+    canonical order: the (v,B) pairs of block B by cut vertex, or the (B,u)
+    pairs of cut vertex u by block id.  A pair depends on into[node[p]]
+    without its reverse, so len(into[B]) is B's cut-vertex count.
+
+    A pair's id is its position in one rooted order of each tree of the
+    block-cut forest, rooted at its lowest block, in which every pair
+    follows its dependencies.  The first half holds the pairs whose side is
+    the subtree below a tree edge, children before parents; the second
+    half holds their reverses in the opposite order, parents before
+    children, with the pairs sharing a node next to each other.  So the
+    reverse of pair p is last - p, with last = 2 edges - 1.  Depths, ua,
+    capacities and potentials are plain lists by id, and a pass over ids in
+    increasing order can keep running totals per node: once a pair's value
+    is set, it is added to the totals of node[last - p], as
+    into[node[last - p]] holds p.  Each pair then reads its node's totals
+    minus its reverse in O(1): in the first half the reverse is the one
+    pair of the list not yet set, so its starting value must add nothing to
+    the totals; in the second half every pair of the list is set.
 
     Every list and tuple here holds ints only, so the index keeps no
-    container per vertex or per block for the garbage collector to walk.
-    It is built from the member tuples with flat counting arrays: each cut
-    vertex owns one run of pair ids, 2 per block holding it, and a pass
-    over the blocks in id order fills each run in canonical order.  The
-    cut vertices are collected by that pass, not by one over all n
-    vertices, so the index of a decomposition that within() restricted
-    costs time in its own blocks only, beyond three n-entry lists.
-
-    order is one rooted order of each tree of the block-cut forest, rooted
-    at its lowest block, in which every pair follows its dependencies.  Its
-    first half holds the pairs whose side is the subtree below a tree edge,
-    children before parents; its second half holds their reverses, parents
-    before children, with the pairs sharing a node next to each other.  A
-    pass over it can keep running totals per node: once a pair's value is
-    set, it is added to the totals of node[p ^ 1], as into[node[p ^ 1]]
-    holds p.  Each pair then reads its node's totals minus its reverse
-    p ^ 1 in O(1): in the first half the reverse is the one pair of the
-    list not yet set, so its starting value must add nothing to the
-    totals; in the second half every pair of the list is set.  pos[p] is
-    p's position in order.
+    container per vertex or per block for the garbage collector to walk,
+    and its build holds none for long: each node's neighbours are an int
+    tuple, a cut vertex's cut from one flat list.  The cut vertices are collected by a
+    pass over the member tuples, not by one over all n vertices, so the
+    index of a decomposition that within() restricted costs time in its
+    own blocks only, beyond three n-entry lists.
     """
 
-    __slots__ = ("base", "block", "node", "into", "node_of", "order", "pos")
+    __slots__ = ("base", "block", "node", "into", "node_of", "last")
 
     def __init__(self, bd):
         members = bd.members
+        nblocks = len(members)
         count = [0] * bd.graph.n  # blocks holding each vertex
         cuts = []  # each vertex once a second block holds it: no pass over n
         for b in members:
@@ -275,55 +282,75 @@ class PairIndex:
                     cuts.append(v)
                 count[v] += 1
         cuts.sort()
+        # Per node, its neighbours in the forest in canonical order, as int
+        # tuples: a block's cut vertices by vertex, a cut vertex's blocks by
+        # id, each cut vertex's from its run of the flat list around.
         node_of = [0] * bd.graph.n
-        start = [0] * bd.graph.n  # next free (B,u) id in cut vertex u's run
-        base, odd_node, runs = [], [], []
-        x = len(members)
-        for u in cuts:
-            k = count[u]
-            p = start[u] = len(base)
+        start = [0] * bd.graph.n  # next free slot of cut vertex u's run
+        edges = 0  # a tree edge per cut vertex and block holding it
+        for x, u in enumerate(cuts, nblocks):
             node_of[u] = x
-            runs.append(tuple(range(p, p + 2 * k, 2)))
-            base += [u] * (2 * k)
-            odd_node += [x] * k
-            x += 1
-        block = [0] * len(base)
+            start[u] = edges
+            edges += count[u]
+        around = [0] * edges
         into = []
         for bid, b in enumerate(members):
             ids = []
             for v in b:
                 if count[v] > 1:
-                    p = start[v]
-                    start[v] = p + 2
-                    block[p] = block[p + 1] = bid
-                    ids.append(p + 1)
+                    ids.append(node_of[v])
+                    around[start[v]] = bid
+                    start[v] += 1
                 else:
                     node_of[v] = bid
             into.append(tuple(ids))
-        into += runs
-        node = block[:]
-        node[1::2] = odd_node
+        into += [tuple(around[start[u] - count[u]:start[u]]) for u in cuts]
 
-        found = []  # first-half pairs in the order their node is reached
-        seen = bytearray(len(into))
-        for root in range(len(members)):
-            if seen[root]:
+        # The search reaches each node but the roots once, from its parent.
+        # For the j-th node reached, y, the pair starting from y has id
+        # edges - 1 - j, and its reverse, from the parent, edges + j.  Once
+        # the search leaves node x, into[x] holds those ids in place of x's
+        # neighbours: a child y's pair, or for the parent, x's reverse.
+        last = 2 * edges - 1
+        found = []  # each node reached from its parent, in that order
+        parent = [-1] * len(into)
+        down = [-1] * len(into)  # per node reached, the id of its pair
+        nxt = edges - 1
+        for root in range(nblocks):
+            if down[root] != -1:
                 continue
-            seen[root] = 1
+            down[root] = parent[root] = root  # a root has no pair
             stack = [root]
             while stack:
-                for q in into[stack.pop()]:
-                    child = node[q]
-                    if not seen[child]:
-                        seen[child] = 1
-                        found.append(q)
-                        stack.append(child)
+                x = stack.pop()
+                ids = []
+                for y in into[x]:
+                    p = down[y]
+                    if p == -1:  # a child of x
+                        p = down[y] = nxt
+                        nxt -= 1
+                        parent[y] = x
+                        found.append(y)
+                        if len(into[y]) == 1:  # a leaf: x is all it sees
+                            into[y] = (last - p,)
+                        else:
+                            stack.append(y)
+                    else:  # x's parent: the pair from it is x's reverse
+                        p = last - down[x]
+                    ids.append(p)
+                into[x] = tuple(ids)
+        # Per node reached, the block and the cut vertex of the edge to its
+        # parent, which both pairs of the edge name.
+        edge_block = list(range(nblocks)) + parent[nblocks:]
+        vertex = [-1] * nblocks + cuts  # per cut vertex's node, the vertex
+        edge_base = list(map(vertex.__getitem__, parent[:nblocks])) + cuts
+        half = list(map(edge_block.__getitem__, found))
+        block = half[::-1] + half
+        half = list(map(edge_base.__getitem__, found))
+        base = half[::-1] + half
+        node = found[::-1] + list(map(parent.__getitem__, found))
         self.base, self.block, self.node = base, block, node
-        self.into, self.node_of = tuple(into), node_of
-        self.order = order = found[::-1] + [q ^ 1 for q in found]
-        self.pos = pos = [0] * len(order)
-        for i, p in enumerate(order):
-            pos[p] = i
+        self.into, self.node_of, self.last = tuple(into), node_of, last
 
 
 def _biconnected_blocks(graph):

@@ -41,14 +41,16 @@ def cmd_decide(args, out):
 
 
 def cmd_potentials(args, out):
-    """One line per pair in canonical order, each component's under
-    "# component i" when there are several.
+    """One line per pair in canonical order, by base, then block, (B,u)
+    first, each component's under "# component i" when there are several.
 
     One decomposition serves every component, since no equation reaches
     across components; the block DFS labels each vertex with its
     component.  A component's lines keep the global pair order, and
     its block ids are the ranks of its blocks' global ids: relabelling a
     component's vertices in order keeps the canonical order of its blocks.
+    The lines follow the cut vertices' into lists, which hold each cut
+    vertex's (B,u) pairs by block id, each followed by its reverse.
     """
     instance = _load_instance(args.file)
     g = instance.graph
@@ -67,10 +69,15 @@ def cmd_potentials(args, out):
         local.append(seen[i])
         seen[i] += 1
     lines = [[] for _ in seen]
-    per_pair = zip(ix.base, ix.block, pot.array, ua.array, compute_depths(bd))
-    for p, (u, b, x, a, d) in enumerate(per_pair):
-        arrow = f"{u + 1}->B{local[b]}" if p & 1 else f"B{local[b]}->{u + 1}"
-        lines[tree[b]].append(f"pot {arrow} = {x} ua={int(a)} d={d}")
+    y, a, d = pot.array, ua.array, compute_depths(bd)
+    for sides in ix.into[len(bd.members):]:
+        u = ix.base[sides[0]] + 1
+        for p in sides:
+            b = ix.block[p]
+            rows = lines[tree[b]]
+            rows.append(f"pot B{local[b]}->{u} = {y[p]} ua={int(a[p])} d={d[p]}")
+            p = ix.last - p
+            rows.append(f"pot {u}->B{local[b]} = {y[p]} ua={int(a[p])} d={d[p]}")
     for idx, rows in enumerate(lines):
         if bd.trees > 1:
             print(f"# component {idx}", file=out)

@@ -116,16 +116,16 @@ def rigid_vertices(bd, ua, pot):
     the nodes x whose count pot.zeros[x] of such sides the fixed point ends
     with at two or more, which only cut vertices' nodes reach."""
     ix = bd.index()
-    ua, y = ua.array, pot.array
+    ua, y, last = ua.array, pot.array, ix.last
     rigid = []
     for x, zeros in enumerate(pot.zeros):
         if zeros < 2:
             continue
-        # into[x] holds the (B,u) pairs of u, and q ^ 1 is (u,B); rigidity
-        # forces every outward side of u to ua True / potential 0
+        # into[x] holds the (B,u) pairs of u, and last - q is (u,B);
+        # rigidity forces every outward side of u to ua True / potential 0
         sides = ix.into[x]
         u = ix.base[sides[0]]
-        if not all(ua[q ^ 1] and y[q ^ 1] == 0 for q in sides):
+        if not all(ua[last - q] and y[last - q] == 0 for q in sides):
             raise InternalError(f"rigid vertex {u} violates ua/pot")
         rigid.append(u)
     return frozenset(rigid)

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .blocks import decompose
+from .blocks import TO_BLOCK, TO_VERTEX, Pair, decompose
 from .decide import CountMismatch, Reachable, Reason, RigidMismatch, UnequalSize
 from .decide import decide, rigid_vertices
 from .errors import InvalidParamsError
@@ -98,7 +98,6 @@ def evaluate_instance(inst, lim=OracleLimits()):
     failures = []
     bd = decompose(g)
     ua = compute_ua(bd)
-    ix = bd.index()
     pairs = bd.pairs()  # for the side walks and the messages
     m = len(bd.members)
     ncut = len(bd.cut_vertices)
@@ -110,16 +109,19 @@ def evaluate_instance(inst, lim=OracleLimits()):
     sides = list(map(bd.side, pairs))
     in_side = [count for count, _ in sides]
     interior = [mask_of(vs) & ~(1 << p.base) for p, (_, vs) in zip(pairs, sides)]
-    # per tree edge u--B, the id of (B,u), whose reverse (u,B) is one more;
     # per pair id, the ids of its dependencies: (v,B) for v in kappa(B,u),
     # (B',u) for B' in beta(u,B); per cut vertex u, the ids of all its (B,u)
-    edge = {(u, b): i for i, (u, b) in enumerate(zip(ix.base, ix.block)) if not i & 1}
+    pair_id = bd.pair_id
     deps = [
-        [edge[u, b] for b in bd.beta(u, bid)] if i & 1
-        else [edge[v, bid] + 1 for v in bd.kappa(bid, u)]
-        for i, (u, bid) in enumerate(zip(ix.base, ix.block))
+        [pair_id(Pair(TO_BLOCK, v, p.block)) for v in bd.kappa(p.block, p.base)]
+        if p.is_to_vertex
+        else [pair_id(Pair(TO_VERTEX, p.base, b)) for b in bd.beta(p.base, p.block)]
+        for p in pairs
     ]
-    incident = {u: [edge[u, b] for b in bd.blocks_of[u]] for u in bd.cut_vertices}
+    incident = {
+        u: [pair_id(Pair(TO_VERTEX, u, b)) for b in bd.blocks_of[u]]
+        for u in bd.cut_vertices
+    }
     a = ua.array  # ua per pair id
 
     pots = []
@@ -134,8 +136,8 @@ def evaluate_instance(inst, lim=OracleLimits()):
         caps = capacity_table(bd, ua, c)
         y = pot.array
         c_mask = mask_of(c)
-        for i, (u, bid) in enumerate(zip(ix.base, ix.block)):
-            p, cap, x = pairs[i], caps[i], y[i]
+        for i, p in enumerate(pairs):
+            u, bid, cap, x = p.base, p.block, caps[i], y[i]
             if cap < 0:
                 failures.append(("capacity", f"{name}: negative capacity at {p}"))
             if a[i] and not adjacency[u] & c_mask & interior[i] and cap <= 0:
@@ -146,7 +148,7 @@ def evaluate_instance(inst, lim=OracleLimits()):
             # interior, off block B for a (B,u)
             inside = (c_mask & interior[i]).bit_count()
             parts = sum((c_mask & interior[j]).bit_count() for j in deps[i])
-            if not i & 1:
+            if p.is_to_vertex:
                 in_block = (c_mask & block_masks[bid] & ~(1 << u)).bit_count()
                 rhs = sum(y[j] for j in deps[i]) + a[i] - in_block
                 if rhs < 0:
@@ -225,8 +227,8 @@ def evaluate_instance(inst, lim=OracleLimits()):
             if u not in rigids[which] or u in rigids[1 - which] or u not in never[which]:
                 failures.append(("rigid", f"{rigid_for}: vertex {u} is not rigid for it alone"))
             # u's first two sides (B,u) with ua at oracle potential 0
-            zero = [(bd.members[b], u) for b in bd.blocks_of[u]
-                    if (i := edge.get((u, b))) is not None and a[i] and not otabs[which][i]]
+            zero = [(bd.members[pairs[i].block], u) for i in incident.get(u, ())
+                    if a[i] and not otabs[which][i]]
             if len(sides) != 2 or sides != tuple(zero[:2]):
                 failures.append(("rigid", f"{rigid_for}: {sides} are not the sides of {u} at 0 with ua"))
         case (Reason.UNEQUAL_SIZE, UnequalSize(part, counts)) | (

@@ -59,9 +59,12 @@ class Graph:
                 raise _first_fault(n, edge_list)
             adjacency = [()] * n
             for v, row in rows.items():
-                adjacency[v] = tuple(sorted(row))
+                row.sort()
+                adjacency[v] = tuple(row)
         else:
-            adjacency = tuple(map(tuple, map(sorted, rows)))
+            for row in rows:
+                row.sort()
+            adjacency = tuple(map(tuple, rows))
         del rows
         # Checked in bulk: a negative id is some vertex's least neighbour,
         # and a self-loop or a repeated edge puts a vertex twice in a row.

@@ -3,10 +3,11 @@
 Both run over the flat lists of the pair index (BlockDecomposition.index)
 and give one value per pair id.
 Each pair's equation has a constant term: ua(p), minus, for a (B,u) pair,
-the tokens of B other than u.  The capacity is one pass over the index's
-rooted order with running totals per node: a pair reads its node's totals
-minus its reverse, and adds its own value to the totals of node[p ^ 1],
-so every pair costs O(1).  The fixed point starts from those totals.
+the tokens of B other than u.  The capacity is one pass over the pair ids,
+which follow the index's rooted order, with running totals per node: a
+pair reads its node's totals minus its reverse last - p, and adds its own
+value to the totals of node[last - p], so every pair costs O(1).  The
+fixed point starts from those totals.
 
 The potential is the least fixed point above 0 of G(y) = max(y, F(y)),
 where F is the right-hand side of the potential equations:
@@ -41,7 +42,8 @@ may be larger.  So the worklist starts from the (u,B) pairs of the cut
 vertices u with zeros[u] = 1 only.
 
 The worklist keeps the schedule of one seeded with every pair in the
-rooted order: a scan over order takes each queued position in turn, and
+rooted order.  A pair's id is its position in that order, so the queue is
+indexed by id: a scan over the ids takes each queued one in turn, and
 when a pair rises, its dependants behind the scan go on a LIFO stack,
 drained before the scan moves on, while those ahead are queued for the
 scan to reach.  A pair the scan passes unqueued holds y(p) >= F(y)(p)
@@ -73,16 +75,16 @@ def _constants(bd, ua, vertices):
     """Per pair id: ua(p), minus for (B,u) the tokens of B other than u.
     ua is compute_ua's record for bd."""
     ix = bd.index()
-    into, base, node, node_of = ix.into, ix.base, ix.node, ix.node_of
+    into, base, node, node_of, last = ix.into, ix.base, ix.node, ix.node_of, ix.last
     nblocks = len(bd.members)
     const = list(map(int, ua.array))
     for v in vertices:
         x = node_of[v]
         blocks = (x,) if x < nblocks else map(node.__getitem__, into[x])
         for b in blocks:
-            for q in into[b]:  # the (u,B) pairs of B; q ^ 1 is (B,u)
+            for q in into[b]:  # the (u,B) pairs of B; last - q is (B,u)
                 if base[q] != v:
-                    const[q ^ 1] -= 1
+                    const[last - q] -= 1
     return const
 
 
@@ -93,15 +95,15 @@ def _capacities(bd, ua, const):
     cap = 0 and ua, which blocks its (u,B) pairs at two.  Unset caps are 0,
     so a cut vertex starts from its ua count, which compute_ua ends with."""
     ix = bd.index()
-    node, into = ix.node, ix.into
+    node, into, last = ix.node, ix.into, ix.last
     nblocks = len(bd.members)
     zeros = [0] * nblocks + ua.counts[nblocks:]
     total = [-z for z in zeros]
     ua = ua.array
     cap = [0] * len(node)
-    for p in ix.order:
-        x, r = node[p], p ^ 1
-        if not p & 1:
+    for p, x in enumerate(node):
+        r = last - p
+        if x < nblocks:
             value = total[x] - cap[r] + const[p]
         elif len(into[x]) < 2:
             raise InternalError(f"beta is empty at pair id {p}")
@@ -113,7 +115,7 @@ def _capacities(bd, ua, const):
             raise InternalError(f"negative capacity at pair id {p}")
         cap[p] = value
         total[node[r]] += value  # p is one of into[node[r]]
-        if value and not p & 1 and ua[p]:
+        if value and x < nblocks and ua[p]:
             zeros[node[r]] -= 1
     return cap, total, zeros
 
@@ -131,15 +133,16 @@ def compute_potentials(bd, ua, c):
     record.  The host graph may be disconnected: no equation reaches
     across components."""
     ix = bd.index()
-    node, into, order, pos = ix.node, ix.into, ix.order, ix.pos
+    node, into, last = ix.node, ix.into, ix.last
+    nblocks = len(bd.members)
     const = _constants(bd, ua, c)
     y, total, zeros = _capacities(bd, ua, const)  # kept running as y grows
     ua = ua.array
 
-    # By position in order, the pairs to evaluate: at first the (u,B) pairs
-    # of the cut vertices with one zero side, the only ones the capacity
-    # pass can leave below their equation.  The scan takes them in order;
-    # a dependant ahead of it is queued in place, one behind it on a stack
+    # By id, the pairs to evaluate: at first the (u,B) pairs of the cut
+    # vertices with one zero side, the only ones the capacity pass can
+    # leave below their equation.  The scan takes them in id order; a
+    # dependant ahead of it is queued in place, one behind it on a stack
     # that is drained before the scan moves on.  In the rooted order most
     # pairs come after their dependencies: on random block graphs of
     # 2,000-4,000 blocks that took 8 to 26 times fewer increases than the
@@ -148,26 +151,25 @@ def compute_potentials(bd, ua, c):
     for x, z in enumerate(zeros):
         if z == 1:
             for q in into[x]:
-                queued[pos[q ^ 1]] = 1
+                queued[last - q] = 1
     stack = []
     scan = -1
     increases = 0
     while True:
         if stack:
-            i = stack.pop()
+            p = stack.pop()
         else:
-            # Where pairs rise, the next queued position is most often the
-            # next one, which a lookup finds faster than find().
+            # Where pairs rise, the next queued id is most often the next
+            # one, which a lookup finds faster than find().
             scan += 1
             if not queued[scan]:
                 scan = queued.find(1, scan)
                 if scan < 0:
                     break
-            i = scan
-        queued[i] = 0
-        p = order[i]
-        x, r = node[p], p ^ 1
-        if not p & 1:
+            p = scan
+        queued[p] = 0
+        x, r = node[p], last - p
+        if x < nblocks:
             candidate = total[x] - y[r] + const[p]
         elif zeros[x] >= 2:
             continue
@@ -179,13 +181,13 @@ def compute_potentials(bd, ua, c):
         # p is one of into[held]: update held's totals, requeue its reverses
         held = node[r]
         total[held] += candidate - y[p]
-        if not p & 1 and y[p] == 0 and ua[p]:
+        if x < nblocks and y[p] == 0 and ua[p]:
             zeros[held] -= 1
         y[p] = candidate
         for q in into[held]:
-            j = pos[q ^ 1]
-            if not queued[j]:
-                queued[j] = 1
-                if j <= scan:
-                    stack.append(j)
+            q = last - q
+            if not queued[q]:
+                queued[q] = 1
+                if q <= scan:
+                    stack.append(q)
     return Potentials(y, increases + 1, zeros)

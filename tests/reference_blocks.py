@@ -1,11 +1,16 @@
 """The eager block decomposition and pair index, kept as a test reference.
 
 BlockDecomposition keeps only its sorted member tuples and builds blocks,
-blocks_of and cut_vertices when they are first read; PairIndex fills its
-lists with flat counting arrays.  This module builds all of them eagerly,
-as before, from its own DFS that pops a block's vertices one by one, and
-derives the pair index from blocks_of.  The tests require the views, the
-pairs and the index to equal these.
+blocks_of and cut_vertices when they are first read; PairIndex numbers the
+pairs by their position in the block-cut forest's rooted order as its
+search finds them.  This module builds all of them eagerly, as before,
+from its own DFS that pops a block's vertices one by one, and derives the
+pair index from blocks_of with the pairs in canonical order: pair 2k is
+(B,u) and 2k+1 is (u,B) for the k-th tree edge u--B by cut vertex, then
+block.  Its rooted order, order, lists the canonical ids by position, and
+pos inverts it.  The tests require the views to equal these, and the pairs
+and the index to equal them up to that permutation: the pair with id i is
+the reference's pair order[i].
 """
 
 from blockslide import TO_BLOCK, TO_VERTEX, Pair
@@ -116,6 +121,9 @@ class ReferenceDecomposition:
         self.base, self.block, self.node, self.node_of = base, block, node, node_of
         self.into = tuple(map(tuple, into))
         self.order = found[::-1] + [q ^ 1 for q in found]
+        self.pos = [0] * len(self.order)
+        for i, p in enumerate(self.order):
+            self.pos[p] = i
         self.pairs = tuple(
             Pair(TO_BLOCK if p & 1 else TO_VERTEX, u, b)
             for p, (u, b) in enumerate(zip(base, block))
@@ -123,14 +131,19 @@ class ReferenceDecomposition:
 
 
 def check_against_reference(bd):
-    """Every view, pairs() and every list of bd.index() equal the eager
-    reference's."""
+    """Every view of bd equals the eager reference's; pairs() and every
+    list of bd.index() equal the reference's read through its rooted
+    order, and into[x] holds the same pairs in the same canonical order."""
     ref = ReferenceDecomposition(bd.graph)
     assert bd.members == tuple(tuple(sorted(b)) for b in ref.blocks)
     assert bd.blocks == ref.blocks
     assert bd.blocks_of == ref.blocks_of
     assert bd.cut_vertices == ref.cut_vertices
-    assert bd.pairs() == ref.pairs
+    order = ref.order
+    assert bd.pairs() == tuple(ref.pairs[p] for p in order)
     ix = bd.index()
-    assert (ix.base, ix.block, ix.node) == (ref.base, ref.block, ref.node)
-    assert (ix.into, ix.node_of, ix.order) == (ref.into, ref.node_of, ref.order)
+    assert ix.last == len(order) - 1
+    for mine, theirs in ((ix.base, ref.base), (ix.block, ref.block), (ix.node, ref.node)):
+        assert mine == [theirs[p] for p in order]
+    assert ix.into == tuple(tuple(ref.pos[q] for q in qs) for qs in ref.into)
+    assert ix.node_of == ref.node_of

@@ -1,33 +1,67 @@
 """The per-node re-summing passes for depth, ua and capacity, kept as a
 reference.
 
-Each pass walks the pair index's rooted order and, at the first pair of
-every node, sums the node's whole into[x] list again: the two largest
-depths, the count of ua pairs, or the sum of cap (of cap - ua and the count
-of pairs with cap = 0 and ua at a cut vertex).  reference_totals takes the
-same sums once per node over the finished capacities, as the fixed point's
-start did.  reference_rigid counts each cut vertex's zero sides again over
-its list, where rigid_vertices reads the fixed point's running counts.  The
-running-total passes of blockslide must return the same lists and sets.
+Each pass walks the canonical pair index of reference_blocks in its rooted
+order and, at the first pair of every node, sums the node's whole into[x]
+list again: the two largest depths, the count of ua pairs, or the sum of
+cap (of cap - ua and the count of pairs with cap = 0 and ua at a cut
+vertex).  reference_totals takes the same sums once per node over the
+finished capacities, as the fixed point's start did.  reference_rigid
+counts each cut vertex's zero sides again over its list, where
+rigid_vertices reads the fixed point's running counts.  The running-total
+passes of blockslide must return the same lists and sets.
 
 reference_potentials is the fixed point's worklist seeded with every pair
-in the rooted order, and reference_short_pairs lists the pairs that lie
-below their equation, each summed afresh; compute_potentials seeds only
+in the rooted order, started from the constants summed afresh per block and
+from reference_capacities, and reference_short_pairs lists the pairs that
+lie below their equation, each summed afresh; compute_potentials seeds only
 the pairs the capacity pass can leave short, and must reach the same
 potentials, zeros and iteration_count.
+
+The reference numbers pairs canonically, pair 2k (B,u) and 2k+1 its
+reverse, and blockslide by rooted position.  Every function here takes and
+returns lists by blockslide's pair ids, of a decomposition of a whole
+graph, and converts them through the reference's rooted order: the pair
+with id i is the reference's pair order[i].  Nodes are numbered alike.
 """
 
+from functools import lru_cache
+
 from blockslide import InternalError
-from blockslide.potential import Potentials, _capacities, _constants
+from blockslide.potential import Potentials
+from reference_blocks import ReferenceDecomposition
 
 
-def reference_depths(bd):
-    """d(p) per pair id."""
-    ix = bd.index()
-    node, into = ix.node, ix.into
+@lru_cache(maxsize=4)
+def _reference(graph):
+    return ReferenceDecomposition(graph)
+
+
+def _canonical(bd, *lists):
+    """The reference index of bd's graph, and each list by pair id read
+    into one by the reference's canonical pair id."""
+    ref = _reference(bd.graph)
+    if len(ref.blocks) != len(bd.members):
+        raise ValueError("the reference covers whole graphs only")
+    converted = []
+    for values in lists:
+        out = [None] * len(values)
+        for i, p in enumerate(ref.order):
+            out[p] = values[i]
+        converted.append(out)
+    return (ref, *converted)
+
+
+def _by_id(ref, values):
+    """A list by canonical pair id, read into one by blockslide's id."""
+    return [values[p] for p in ref.order]
+
+
+def _depths(ref):
+    node, into = ref.node, ref.into
     d = [-1] * len(node)  # -1 is below every depth, so it adds nothing
     last = -1
-    for p in ix.order:
+    for p in ref.order:
         x = node[p]
         if x != last:
             last = x
@@ -41,15 +75,21 @@ def reference_depths(bd):
     return d
 
 
+def reference_depths(bd):
+    """d(p) per pair id."""
+    ref = _reference(bd.graph)
+    return _by_id(ref, _depths(ref))
+
+
 def reference_ua(bd, d):
     """ua(p) per pair id, from the depth list d."""
-    ix = bd.index()
-    node, into = ix.node, ix.into
+    ref, d = _canonical(bd, d)
+    node, into = ref.node, ref.into
     # a block made only of cut vertices: kappa(B,u) | {u} == B
-    all_cuts = [len(into[b]) == len(members) for b, members in enumerate(bd.blocks)]
+    all_cuts = [len(into[b]) == len(members) for b, members in enumerate(ref.blocks)]
     ua = [False] * len(node)
     last = -1
-    for p in ix.order:
+    for p in ref.order:
         x = node[p]
         if x != last:
             last = x
@@ -59,16 +99,14 @@ def reference_ua(bd, d):
             continue
         inner = true_count - ua[p ^ 1]
         ua[p] = inner > 0 if p & 1 else not (inner == len(into[x]) - 1 and all_cuts[x])
-    return ua
+    return _by_id(ref, ua)
 
 
-def reference_capacities(bd, ua, const):
-    """cap(C[p]) per pair id, from the ua list and the constants of C."""
-    ix = bd.index()
-    node, into = ix.node, ix.into
+def _capacities(ref, ua, const):
+    node, into = ref.node, ref.into
     cap = [0] * len(node)
     last = -1
-    for p in ix.order:
+    for p in ref.order:
         x, r = node[p], p ^ 1
         if x != last:
             last = x
@@ -76,7 +114,7 @@ def reference_capacities(bd, ua, const):
             total = sum(map(cap.__getitem__, qs))
             if p & 1:
                 if len(qs) < 2:
-                    raise InternalError(f"beta is empty at pair id {p}")
+                    raise InternalError(f"beta is empty at pair id {ref.pos[p]}")
                 total -= sum(map(ua.__getitem__, qs))
                 zeros = sum([1 for q in qs if cap[q] == 0 and ua[q]])
         if not p & 1:
@@ -86,17 +124,20 @@ def reference_capacities(bd, ua, const):
         else:
             value = total - (cap[r] - ua[r]) + const[p]
         if value < 0:
-            raise InternalError(f"negative capacity at pair id {p}")
+            raise InternalError(f"negative capacity at pair id {ref.pos[p]}")
         cap[p] = value
     return cap
 
 
-def reference_totals(bd, ua, y):
-    """Per node x, over the pairs into[x]: for a block, the sum of y; for a
-    cut vertex, the sum of y - ua.  And per node the count of pairs with
-    y = 0 and ua, which is 0 for a block."""
-    into = bd.index().into
-    nblocks = len(bd.blocks)
+def reference_capacities(bd, ua, const):
+    """cap(C[p]) per pair id, from the ua list and the constants of C."""
+    ref, ua, const = _canonical(bd, ua, const)
+    return _by_id(ref, _capacities(ref, ua, const))
+
+
+def _totals(ref, ua, y):
+    into = ref.into
+    nblocks = len(ref.blocks)
     total = [sum(map(y.__getitem__, qs)) for qs in into[:nblocks]]
     total += [
         sum(map(y.__getitem__, qs)) - sum(map(ua.__getitem__, qs))
@@ -107,16 +148,23 @@ def reference_totals(bd, ua, y):
     return total, zeros
 
 
+def reference_totals(bd, ua, y):
+    """Per node x, over the pairs into[x]: for a block, the sum of y; for a
+    cut vertex, the sum of y - ua.  And per node the count of pairs with
+    y = 0 and ua, which is 0 for a block."""
+    return _totals(*_canonical(bd, ua, y))
+
+
 def reference_rigid(bd, ua, pot):
     """Cut vertices with two (B,u) sides at potential 0 and ua, counted
     again at every cut vertex over its into[x] list, from the ua and
     potential lists."""
-    ix = bd.index()
+    ref, ua, pot = _canonical(bd, ua, pot)
     rigid = []
-    for sides in ix.into[len(bd.blocks):]:
+    for sides in ref.into[len(ref.blocks):]:
         if sum(1 for q in sides if pot[q] == 0 and ua[q]) < 2:
             continue
-        u = ix.base[sides[0]]
+        u = ref.base[sides[0]]
         # rigidity forces every outward side of u to ua True / potential 0
         if not all(ua[q ^ 1] and pot[q ^ 1] == 0 for q in sides):
             raise InternalError(f"rigid vertex {u} violates ua/pot")
@@ -124,15 +172,25 @@ def reference_rigid(bd, ua, pot):
     return frozenset(rigid)
 
 
+def _constants(ref, ua, c):
+    """Per canonical pair id: ua(p), minus for (B,u) the tokens of B other
+    than u, counted afresh per block."""
+    tokens = set(c)
+    return [
+        int(a) - (0 if p & 1 else sum(1 for v in ref.blocks[b] if v != u and v in tokens))
+        for p, (a, u, b) in enumerate(zip(ua, ref.base, ref.block))
+    ]
+
+
 def reference_potentials(bd, ua, c):
     """The fixed point from the capacities, with every pair queued in the
     rooted order at the start; ua is compute_ua's record."""
-    ix = bd.index()
-    node, into = ix.node, ix.into
-    const = _constants(bd, ua, c.vertices)
-    y, total, zeros = _capacities(bd, ua, const)
-    ua = ua.array
-    pending = ix.order[::-1]
+    ref, a = _canonical(bd, ua.array)
+    node, into = ref.node, ref.into
+    const = _constants(ref, a, c)
+    y = _capacities(ref, a, const)
+    total, zeros = _totals(ref, a, y)
+    pending = ref.order[::-1]
     queued = bytearray(b"\x01") * len(y)
     increases = 0
     while pending:
@@ -144,13 +202,13 @@ def reference_potentials(bd, ua, c):
         elif zeros[x] >= 2:
             continue
         else:
-            candidate = total[x] - (y[r] - ua[r]) + const[p]
+            candidate = total[x] - (y[r] - a[r]) + const[p]
         if candidate <= y[p]:
             continue
         increases += 1
         held = node[r]
         total[held] += candidate - y[p]
-        if not p & 1 and y[p] == 0 and ua[p]:
+        if not p & 1 and y[p] == 0 and a[p]:
             zeros[held] -= 1
         y[p] = candidate
         for q in into[held]:
@@ -158,16 +216,16 @@ def reference_potentials(bd, ua, c):
             if not queued[q]:
                 queued[q] = 1
                 pending.append(q)
-    return Potentials(y, increases + 1, zeros)
+    return Potentials(_by_id(ref, y), increases + 1, zeros)
 
 
 def reference_short_pairs(bd, ua, const, y):
     """The pair ids p with y(p) below the right-hand side of p's potential
     equation, from the ua list, the constants of a token set and the
     per-pair list y, with every node's sums taken afresh."""
-    ix = bd.index()
-    node = ix.node
-    total, zeros = reference_totals(bd, ua, y)
+    ref, ua, const, y = _canonical(bd, ua, const, y)
+    node = ref.node
+    total, zeros = _totals(ref, ua, y)
     short = []
     for p, x in enumerate(node):
         r = p ^ 1
@@ -178,5 +236,5 @@ def reference_short_pairs(bd, ua, const, y):
         else:
             rhs = total[x] - (y[r] - ua[r]) + const[p]
         if rhs > y[p]:
-            short.append(p)
-    return short
+            short.append(ref.pos[p])
+    return sorted(short)

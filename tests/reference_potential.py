@@ -1,8 +1,8 @@
 """The restart sweep for potentials, kept as a second reference.
 
-It initialises every pair to 0, sweeps the pairs in canonical order,
-recomputes a candidate value per pair, and on the first strict increase
-assigns it and restarts the sweep.  compute_potentials must reach the same
+It initialises every pair to 0, sweeps the pairs in canonical order (by
+base, then block, (B,u) first), recomputes a candidate value per pair, and
+on the first strict increase assigns it and restarts the sweep.  compute_potentials must reach the same
 values; its iteration_count is counted differently (see test_potential).
 """
 
@@ -26,10 +26,11 @@ class ReferencePotentials:
 def restart_sweep_potentials(bd, ua, c):
     """Fixed-point potentials per pair id, plus the number of sweep passes
     executed."""
-    pair_list = bd.pairs()
+    by_id = bd.pairs()
+    pair_list = sorted(by_id, key=lambda p: (p.base, p.block, not p.is_to_vertex))
     index = {p: i for i, p in enumerate(pair_list)}
     npairs = len(pair_list)
-    ua_arr = list(map(int, ua.array))
+    ua_arr = [int(ua.array[bd.pair_id(p)]) for p in pair_list]
 
     # Per-pair precomputation: dependency indices and constants.
     deps = [None] * npairs
@@ -73,4 +74,4 @@ def restart_sweep_potentials(bd, ua, c):
                 updated = True
                 break
 
-    return ReferencePotentials(y, iterations)
+    return ReferencePotentials([y[index[p]] for p in by_id], iterations)

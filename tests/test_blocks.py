@@ -18,10 +18,12 @@ def test_path3_decomposition(path3):
     bd = decompose(path3)
     assert bd.blocks == (frozenset({0, 1}), frozenset({1, 2}))
     assert bd.cut_vertices == frozenset({1})
+    # By id, the rooted order from B0: the sides below a tree edge, children
+    # first, then their reverses.
     assert bd.pairs() == (
-        Pair(TO_VERTEX, 1, 0),
-        Pair(TO_BLOCK, 1, 0),
         Pair(TO_VERTEX, 1, 1),
+        Pair(TO_BLOCK, 1, 0),
+        Pair(TO_VERTEX, 1, 0),
         Pair(TO_BLOCK, 1, 1),
     )
 
@@ -183,24 +185,32 @@ def test_opposite_sides_cover_graph(idx):
 
 
 def check_pair_index(bd):
+    """The rooted-id contract: pairs() by id, each pair's reverse at
+    last - p, its direction from node[p], its dependencies at lower ids,
+    and every into[x] in canonical order."""
     pairs = bd.pairs()
     ix = bd.index()
-    assert list(pairs) == sorted(
-        pairs, key=lambda p: (p.base, p.block, 0 if p.is_to_vertex else 1)
-    )
-    position = {p: i for i, p in enumerate(ix.order)}
-    assert sorted(position) == list(range(len(pairs)))
+    nblocks = len(bd.members)
+    assert ix.last == len(pairs) - 1 == len(ix.node) - 1
+    assert len(set(pairs)) == len(pairs)
     for i, p in enumerate(pairs):
         assert bd.pair_id(p) == i
-        assert pairs[i ^ 1] == p.reverse()
-        assert (ix.base[i], ix.block[i], i & 1) == (p.base, p.block, int(not p.is_to_vertex))
+        assert pairs[ix.last - i] == p.reverse()
+        assert (ix.base[i], ix.block[i]) == (p.base, p.block)
+        assert (ix.node[i] < nblocks) == p.is_to_vertex
+        assert ix.node[i] == (p.block if p.is_to_vertex else ix.node_of[p.base])
         if p.is_to_vertex:
             deps = [Pair(TO_BLOCK, v, p.block) for v in bd.kappa(p.block, p.base)]
         else:
             deps = [Pair(TO_VERTEX, p.base, b) for b in bd.beta(p.base, p.block)]
         dep_ids = {bd.pair_id(q) for q in deps}
-        assert dep_ids == set(ix.into[ix.node[i]]) - {i ^ 1}
-        assert all(position[q] < position[i] for q in dep_ids)
+        assert dep_ids == set(ix.into[ix.node[i]]) - {ix.last - i}
+        assert all(q < i for q in dep_ids)
+    # a block's (v,B) pairs by cut vertex, a cut vertex's (B,u) pairs by block
+    for x, qs in enumerate(ix.into):
+        key = [pairs[q].base if x < nblocks else pairs[q].block for q in qs]
+        assert key == sorted(set(key))
+        assert all(pairs[q].is_to_vertex == (x >= nblocks) for q in qs)
 
 
 @pytest.mark.parametrize("idx", range(0, 120, 4))

@@ -6,9 +6,17 @@ from pathlib import Path
 
 import pytest
 
-from blockslide import Graph, InvalidParamsError, Reason, Verdict
+from blockslide import (
+    Graph,
+    InvalidParamsError,
+    Reason,
+    Verdict,
+    parse_instance,
+    render_instance,
+)
 import blockslide.fuzz as fuzz_mod
 from blockslide.cli import main
+from conftest import disjoint_union
 
 
 def run(argv):
@@ -190,6 +198,33 @@ def test_potentials_copies_no_subgraph(tmp_path, monkeypatch):
 
     monkeypatch.setattr(Graph, "induced", induced)
     assert run(["potentials", write(tmp_path, INTERLEAVED)]) == (0, INTERLEAVED_SOURCE)
+
+
+GOLDEN = Path(__file__).parent / "golden"
+
+
+def test_golden_instances_are_what_they_claim():
+    """gen-seed5.ts is `blockslide gen --seed 5 --blocks 14 --max-clique 5
+    --tokens 5`, and union-seed5-seed6.ts the disjoint union of it and the
+    same command's output for seed 6."""
+    def gen(seed):
+        return run(["gen", "--seed", str(seed), "--blocks", "14", "--max-clique", "5",
+                    "--tokens", "5"])[1]
+
+    assert gen(5) == (GOLDEN / "gen-seed5.ts").read_text()
+    union = disjoint_union([parse_instance(gen(5)), parse_instance(gen(6))])
+    assert render_instance(union) == (GOLDEN / "union-seed5-seed6.ts").read_text()
+
+
+@pytest.mark.parametrize("name", ["gen-seed5", "union-seed5-seed6"])
+@pytest.mark.parametrize("which", ["source", "target"])
+def test_potentials_golden_bytes(name, which):
+    """The lines of instances whose pair ids, the rooted order, are far
+    from the printed canonical order, byte for byte as they were printed
+    when ids were canonical."""
+    path = str(GOLDEN / f"{name}.ts")
+    expected = (GOLDEN / f"{name}.{which}.out").read_text()
+    assert run(["potentials", "--set", which, path]) == (0, expected)
 
 
 def test_potentials_rejects_non_block_graph(tmp_path):

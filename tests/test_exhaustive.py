@@ -8,7 +8,7 @@ token count in every part of G - R, the parts as reference_decide's graph
 search finds them; decide(g, c, c) certifies that rigid set and the
 number of those parts.
 On the same graphs, ua without the paper's depth-0 rule equals the
-reference that keeps it.
+reference that keeps it, and the pair index keeps its rooted-id contract.
 """
 
 from itertools import combinations
@@ -27,6 +27,7 @@ from blockslide.graph import connected_components
 from blockslide.oracle import adjacency_masks, vertices_of
 from reference_decide import parts_after
 from reference_passes import reference_depths, reference_ua
+from test_blocks import check_pair_index
 
 MAX_N = 6
 
@@ -108,6 +109,11 @@ def test_ua_needs_no_depth():
     for g, _, _ in CASES:
         bd = decompose(g)
         assert compute_ua(bd).array == reference_ua(bd, reference_depths(bd)), g.n
+
+
+def test_pair_index_on_every_graph():
+    for g, _, _ in CASES:
+        check_pair_index(decompose(g))
 
 
 def class_key(g, c):

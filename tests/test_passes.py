@@ -51,12 +51,12 @@ def check_against_reference(inst):
     assert d == ref_d
     ua = compute_ua(bd)
     assert ua.array == reference_ua(bd, ref_d)
-    into = bd.index().into
+    ix = bd.index()
     for c in (inst.source, inst.target):
         const = potential._constants(bd, ua, c.vertices)
         cap, _, zeros = potential._capacities(bd, ua, const)
         assert cap == reference_capacities(bd, ua.array, const)
-        seeds = {q ^ 1 for x, z in enumerate(zeros) if z == 1 for q in into[x]}
+        seeds = {ix.last - q for x, z in enumerate(zeros) if z == 1 for q in ix.into[x]}
         assert seeds.issuperset(reference_short_pairs(bd, ua.array, const, cap))
         pot = compute_potentials(bd, ua, c)
         with pytest.MonkeyPatch.context() as mp:
@@ -115,8 +115,9 @@ def test_capacity_checks_fire_under_optimize():
         "bd = decompose(Graph(3, [(0, 1), (1, 2)]))\n"
         "ua = compute_ua(bd)\n"
         "ix = bd.index()\n"
-        "for const, into in (([-5] * 4, (0, 2)), ([0] * 4, (0,))):\n"
-        "    ix.into = ix.into[:2] + (into,)  # the cut vertex's (B,u) pairs\n"
+        "sides = ix.into[2]  # the cut vertex's (B,u) pairs\n"
+        "for const, into in (([-5] * 4, sides), ([0] * 4, sides[:1])):\n"
+        "    ix.into = ix.into[:2] + (into,)\n"
         "    try:\n"
         "        _capacities(bd, ua, const)\n"
         "    except InternalError as exc:\n"
@@ -129,6 +130,6 @@ def test_capacity_checks_fire_under_optimize():
     )
     assert result.returncode == 0, result.stderr
     assert result.stdout.splitlines() == [
-        "negative capacity at pair id 2",
+        "negative capacity at pair id 0",
         "beta is empty at pair id 1",
     ]

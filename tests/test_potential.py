@@ -23,19 +23,20 @@ def setup(g):
 def test_path3_capacities(path3):
     bd, ua = setup(path3)
     c = TokenSet(path3, [0])
-    assert capacity_table(bd, ua, c) == [0, 1, 1, 0]
+    # by pair id: (B1,1), (1,B0), (B0,1), (1,B1)
+    assert capacity_table(bd, ua, c) == [1, 1, 0, 0]
 
 
 def test_path3_potentials(path3):
     bd, ua = setup(path3)
     c = TokenSet(path3, [0])
     pot = compute_potentials(bd, ua, c)
-    assert pot.array == [0, 1, 1, 0]
+    assert pot.array == [1, 1, 0, 0]
     # the capacities are already the fixed point: no increase
     assert pot.iteration_count == 1
     # the restart sweep from 0 needs two increases
     ref = restart_sweep_potentials(bd, ua, c)
-    assert ref.array == [0, 1, 1, 0]
+    assert ref.array == [1, 1, 0, 0]
     assert ref.iteration_count == 3
 
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from itertools import compress
 from operator import itemgetter
 
-from .errors import InvalidPairError
+from .errors import InternalError, InvalidPairError
 
 TO_VERTEX = "to_vertex"  # (B, u): the side kept is B's side of u
 TO_BLOCK = "to_block"  # (u, B): the side kept is everything except B's side
@@ -196,7 +196,9 @@ class BlockDecomposition:
 
         The walk follows p's dependencies in the pair index: the side of
         (B,u) is B plus the sides of the (v,B) with v != u, and the side of
-        (u,B) is u plus the sides of the (B',u) with B' != B.
+        (u,B) is u plus the sides of the (B',u) with B' != B.  In a valid
+        index the walk pops each pair at most once, so it raises
+        InternalError past len(ix.node) pops instead of running on.
         """
         i = self.pair_id(p)
         side = self._side_cache.get(i)
@@ -205,7 +207,11 @@ class BlockDecomposition:
             nblocks, last = len(self.members), ix.last
             count, verts = 0, {p.base}
             stack = [i]
+            budget = len(ix.node)
             while stack:
+                budget -= 1
+                if budget < 0:
+                    raise InternalError(f"the side walk from pair id {i} does not end")
                 q = stack.pop()
                 x = ix.node[q]
                 if x < nblocks:  # (B,u) starts from node B, block B itself

@@ -27,7 +27,8 @@ from dataclasses import dataclass
 @dataclass
 class Ua:
     """ua(p) per pair id, and per node x the number of ua pairs in
-    into[x], which the capacity pass starts from."""
+    into[x], which the capacity pass and the potentials' sweep start
+    from."""
 
     array: list
     counts: list

@@ -6,8 +6,9 @@ Each pair's equation has a constant term: ua(p), minus, for a (B,u) pair,
 the tokens of B other than u.  The capacity is one pass over the pair ids,
 which follow the index's rooted order, with running totals per node: a
 pair reads its node's totals minus its reverse last - p, and adds its own
-value to the totals of node[last - p], so every pair costs O(1).  The
-fixed point starts from those totals.
+value to the totals of node[last - p], so every pair costs O(1).
+decide does not run it: fuzz.evaluate_instance checks it, and the oracle
+takes its maximum over the reachable token sets as the potential.
 
 The potential is the least fixed point above 0 of G(y) = max(y, F(y)),
 where F is the right-hand side of the potential equations:
@@ -18,28 +19,27 @@ where F is the right-hand side of the potential equations:
              (B',u), B' any block of u, have y = 0 and ua
 
 G is monotone and inflationary, so iterating it one pair at a time in any
-fair order from 0 reaches that fixed point L.  compute_potentials starts
-from the capacities instead, and keeps a worklist of pairs whose inputs
-changed.  The start gives the same L: C itself is reachable from C, so
-0 <= cap <= L; each step is monotone and L is fixed, so every iterate from
-cap stays at most L, and the fixed point M it reaches is at least cap >= 0.
-The iterates from 0 stay below any fixed point at least 0, M included, so
-L <= M <= L.  iteration_count is the number of increases plus one: with
-every increase at least 1 and each L(p) at most the blocks on p's side,
-it stays within 2m(ncut+m-1)+1 for m blocks and ncut cut vertices.
+fair order from 0 reaches that fixed point L, and every iterate stays at
+most L.  compute_potentials starts with one sweep of that rule over the
+pair ids, with the same running totals as the capacity pass: unset pairs
+count as 0, a (B,u) takes its equation, and a (u,B) stays 0 while its
+node's zero count is at least two, else takes its equation.  Each step
+applies G at one pair from 0, so the sweep ends at most at L; it never
+freezes a pair the capacity pass evaluates, so its values are at least the
+capacities and a negative one is an invariant violation.
+iteration_count is the number of increases after the sweep plus one: with
+every increase at least 1 and each L(p) at most the blocks on p's side, it
+stays within 2m(ncut+m-1)+1 for m blocks and ncut cut vertices.
 
-Right after the capacity pass, only a few pairs can lie below their
-equation, y(p) < F(y)(p).  Each pair's capacity is its equation read from
-its node's totals minus its reverse, and those stay as they were when it
-was read: only the reverse is set later.  The two rules differ only for a
-(u,B) pair: the capacity is 0 as soon as one (B',u) with B' != B has
-cap 0 and ua, while the potential is frozen only at two such (B',u) of
-any B'.  With zeros[u] = 0 both rules evaluate the equation; with
-zeros[u] >= 2 the capacity is 0 and the potential frozen; with
-zeros[u] = 1 the one zero is (B,u) itself, and both evaluate the
-equation, or it is another, and the capacity is 0 where the equation
-may be larger.  So the worklist starts from the (u,B) pairs of the cut
-vertices u with zeros[u] = 1 only.
+Right after the sweep, only a few pairs can lie below their equation,
+y(p) < F(y)(p).  Every dependency of a pair has a lower id, so a pair's
+inputs are final when the sweep reaches it, except for its reverse in the
+first half of the ids.  A (B,u)'s equation does not read its reverse, and
+neither does a (u,B)'s, but its freeze rule counts the reverse among its
+node's zeros.  So only a first-half (u,B) that the sweep left frozen can be
+short, and only if its node's zero count fell below two when its reverse
+was set later in the pass; zero counts only fall.  The worklist starts
+from exactly those pairs.
 
 The worklist keeps the schedule of one seeded with every pair in the
 rooted order.  A pair's id is its position in that order, so the queue is
@@ -126,6 +126,42 @@ def capacity_table(bd, ua, c):
     return _capacities(bd, ua, _constants(bd, ua, c))[0]
 
 
+def _sweep(bd, ua, const):
+    """One pass of the potential's own rule over the pair ids, from the
+    constants of token set C, with unset pairs counted as 0: a (B,u) takes
+    its equation, and a (u,B) stays 0 while its node's zero count is at
+    least two, else takes its equation.  Returns the values; the running
+    totals and zero counts per node, as _capacities keeps them; and the
+    pairs the pass may leave below their equation, in id order: the (u,B)
+    pairs it left at 0 whose node's zero count fell below two later."""
+    ix = bd.index()
+    node, into, last = ix.node, ix.into, ix.last
+    nblocks = len(bd.members)
+    zeros = [0] * nblocks + ua.counts[nblocks:]
+    total = [-z for z in zeros]
+    ua = ua.array
+    y = [0] * len(node)
+    frozen = []
+    for p, x in enumerate(node):
+        r = last - p
+        if x < nblocks:
+            value = total[x] - y[r] + const[p]
+        elif len(into[x]) < 2:
+            raise InternalError(f"beta is empty at pair id {p}")
+        elif zeros[x] >= 2:
+            frozen.append(p)  # stays 0, which adds nothing to the totals
+            continue
+        else:
+            value = total[x] - (y[r] - ua[r]) + const[p]
+        if value < 0:
+            raise InternalError(f"negative sweep value at pair id {p}")
+        y[p] = value
+        total[node[r]] += value  # p is one of into[node[r]]
+        if value and x < nblocks and ua[p]:
+            zeros[node[r]] -= 1
+    return y, total, zeros, [p for p in frozen if zeros[node[p]] < 2]
+
+
 def compute_potentials(bd, ua, c):
     """Fixed-point potentials per pair id for the token set C, a TokenSet
     or any iterable of distinct vertices of bd's blocks; the number of
@@ -136,22 +172,19 @@ def compute_potentials(bd, ua, c):
     node, into, last = ix.node, ix.into, ix.last
     nblocks = len(bd.members)
     const = _constants(bd, ua, c)
-    y, total, zeros = _capacities(bd, ua, const)  # kept running as y grows
+    y, total, zeros, seeds = _sweep(bd, ua, const)  # kept running as y grows
     ua = ua.array
 
-    # By id, the pairs to evaluate: at first the (u,B) pairs of the cut
-    # vertices with one zero side, the only ones the capacity pass can
-    # leave below their equation.  The scan takes them in id order; a
-    # dependant ahead of it is queued in place, one behind it on a stack
-    # that is drained before the scan moves on.  In the rooted order most
-    # pairs come after their dependencies: on random block graphs of
+    # By id, the pairs to evaluate: at first the frozen (u,B) pairs the
+    # sweep may leave below their equation.  The scan takes them in id
+    # order; a dependant ahead of it is queued in place, one behind it on a
+    # stack that is drained before the scan moves on.  In the rooted order
+    # most pairs come after their dependencies: on random block graphs of
     # 2,000-4,000 blocks that took 8 to 26 times fewer increases than the
     # canonical order.
     queued = bytearray(len(y) + 1)  # and a 0 past the end
-    for x, z in enumerate(zeros):
-        if z == 1:
-            for q in into[x]:
-                queued[last - q] = 1
+    for p in seeds:
+        queued[p] = 1
     stack = []
     scan = -1
     increases = 0

@@ -11,12 +11,16 @@ counts each cut vertex's zero sides again over its list, where
 rigid_vertices reads the fixed point's running counts.  The running-total
 passes of blockslide must return the same lists and sets.
 
+reference_sweep is the potentials' starting sweep, which sums each node's
+list again at its first pair, as the capacity reference does.
 reference_potentials is the fixed point's worklist seeded with every pair
 in the rooted order, started from the constants summed afresh per block and
-from reference_capacities, and reference_short_pairs lists the pairs that
-lie below their equation, each summed afresh; compute_potentials seeds only
-the pairs the capacity pass can leave short, and must reach the same
-potentials, zeros and iteration_count.
+from reference_sweep, and reference_short_pairs lists the pairs that lie
+below their equation, each summed afresh; compute_potentials seeds only
+the pairs the sweep can leave short, and must reach the same potentials,
+zeros and iteration_count.  reference_capacity_potentials is the same
+worklist started from reference_capacities, the start the fixed point had
+before the sweep; its iteration_count bounds the sweep-started one.
 
 The reference numbers pairs canonically, pair 2k (B,u) and 2k+1 its
 reverse, and blockslide by rooted position.  Every function here takes and
@@ -129,10 +133,44 @@ def _capacities(ref, ua, const):
     return cap
 
 
+def _sweep(ref, ua, const):
+    node, into = ref.node, ref.into
+    y = [0] * len(node)  # unset pairs count as 0
+    last = -1
+    for p in ref.order:
+        x, r = node[p], p ^ 1
+        if x != last:
+            last = x
+            qs = into[x]
+            total = sum(map(y.__getitem__, qs))
+            if p & 1:
+                if len(qs) < 2:
+                    raise InternalError(f"beta is empty at pair id {ref.pos[p]}")
+                total -= sum(map(ua.__getitem__, qs))
+                zeros = sum([1 for q in qs if y[q] == 0 and ua[q]])
+        if not p & 1:
+            value = total - y[r] + const[p]
+        elif zeros >= 2:
+            value = 0
+        else:
+            value = total - (y[r] - ua[r]) + const[p]
+        if value < 0:
+            raise InternalError(f"negative sweep value at pair id {ref.pos[p]}")
+        y[p] = value
+    return y
+
+
 def reference_capacities(bd, ua, const):
     """cap(C[p]) per pair id, from the ua list and the constants of C."""
     ref, ua, const = _canonical(bd, ua, const)
     return _by_id(ref, _capacities(ref, ua, const))
+
+
+def reference_sweep(bd, ua, const):
+    """The potentials' starting sweep per pair id, from the ua list and the
+    constants of C."""
+    ref, ua, const = _canonical(bd, ua, const)
+    return _by_id(ref, _sweep(ref, ua, const))
 
 
 def _totals(ref, ua, y):
@@ -182,13 +220,13 @@ def _constants(ref, ua, c):
     ]
 
 
-def reference_potentials(bd, ua, c):
-    """The fixed point from the capacities, with every pair queued in the
+def _fixed_point(bd, ua, c, start):
+    """The fixed point from start's values, with every pair queued in the
     rooted order at the start; ua is compute_ua's record."""
     ref, a = _canonical(bd, ua.array)
     node, into = ref.node, ref.into
     const = _constants(ref, a, c)
-    y = _capacities(ref, a, const)
+    y = start(ref, a, const)
     total, zeros = _totals(ref, a, y)
     pending = ref.order[::-1]
     queued = bytearray(b"\x01") * len(y)
@@ -217,6 +255,16 @@ def reference_potentials(bd, ua, c):
                 queued[q] = 1
                 pending.append(q)
     return Potentials(_by_id(ref, y), increases + 1, zeros)
+
+
+def reference_potentials(bd, ua, c):
+    """The fixed point from the sweep, every pair queued."""
+    return _fixed_point(bd, ua, c, _sweep)
+
+
+def reference_capacity_potentials(bd, ua, c):
+    """The fixed point from the capacities, every pair queued."""
+    return _fixed_point(bd, ua, c, _capacities)
 
 
 def reference_short_pairs(bd, ua, const, y):

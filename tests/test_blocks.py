@@ -1,9 +1,11 @@
 import random
+import signal
 
 import pytest
 
 from blockslide import (
     Graph,
+    InternalError,
     InvalidPairError,
     Pair,
     TO_BLOCK,
@@ -63,6 +65,28 @@ def test_k4_pendant_sides(k4_pendant):
     assert bd.side_vertices(q) == frozenset({0, 4})
     assert bd.kappa(0, 0) == frozenset()
     assert bd.beta(0, 0) == (1,)
+
+
+def test_side_walk_raises_on_a_cyclic_index(k4_pendant):
+    """A leaf whose into list holds its own pair instead of its reverse
+    makes the side walk loop: it raises InternalError within a second."""
+    bd = decompose(k4_pendant)
+    ix = bd.index()
+    leaf = 1  # the pendant edge {0, 4}
+    (q,) = ix.into[leaf]  # (0,B1); its reverse (B1,0) is the leaf's own pair
+    ix.into = ix.into[:leaf] + ((ix.last - q,),) + ix.into[leaf + 1:]
+
+    def timeout(signum, frame):
+        raise TimeoutError("the side walk ran past a second")
+
+    previous = signal.signal(signal.SIGALRM, timeout)
+    signal.setitimer(signal.ITIMER_REAL, 1.0)
+    try:
+        with pytest.raises(InternalError, match="does not end"):
+            bd.side(Pair(TO_VERTEX, 0, leaf))
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def test_check_pair_rejects_non_cut_base(k4_pendant):

@@ -1,9 +1,10 @@
 """The running-total passes against the per-node re-summing reference.
 
-compute_depths, compute_ua and the capacity pass add each pair's value to
-its holder's totals once; reference_passes sums every node's list again.
-Both must give the same depth, ua and capacity lists, and the fixed point
-started from either must give the same potentials and iteration_count.
+compute_depths, compute_ua, the capacity pass and the potentials' sweep add
+each pair's value to its holder's totals once; reference_passes sums every
+node's list again.  Both must give the same depth, ua, capacity and sweep
+lists, and the fixed point started from either sweep must give the same
+potentials, zeros and iteration_count.
 """
 
 import os
@@ -18,56 +19,68 @@ import blockslide
 import blockslide.potential as potential
 from blockslide import (
     Instance,
+    capacity_table,
     compute_depths,
     compute_potentials,
     compute_ua,
+    decide,
     decompose,
 )
 from blockslide.gen import gen_token_sets
 from conftest import LADDER, fuzz_corpus, shuffled_unions, union_corpus
 from reference_passes import (
     reference_capacities,
+    reference_capacity_potentials,
     reference_depths,
     reference_potentials,
     reference_short_pairs,
+    reference_sweep,
     reference_totals,
     reference_ua,
 )
 
 
 def _reference_start(bd, ua, const):
-    cap = reference_capacities(bd, ua.array, const)
-    return (cap, *reference_totals(bd, ua.array, cap))
+    """The reference sweep with fresh node sums, seeding exactly the pairs
+    below their equation."""
+    y = reference_sweep(bd, ua.array, const)
+    return (y, *reference_totals(bd, ua.array, y), reference_short_pairs(bd, ua.array, const, y))
 
 
 def check_against_reference(inst):
-    """Depth, ua, capacity and potential lists, zeros and iteration_count
-    of both token sets equal those from the reference passes.  Right after
-    the capacity pass, every pair below its equation is one of the pairs
-    compute_potentials seeds: a (u,B) of a cut vertex with one zero side."""
+    """Depth, ua, capacity, sweep and potential lists, zeros and
+    iteration_count of both token sets equal those from the reference
+    passes, and the sweep's running totals equal fresh node sums of its
+    values.  Right after the sweep, every pair below its equation is one of
+    the pairs compute_potentials seeds.  The fixed point from the
+    capacities, every pair queued, takes at least as many increases."""
     bd = decompose(inst.graph)
     d = compute_depths(bd)
     ref_d = reference_depths(bd)
     assert d == ref_d
     ua = compute_ua(bd)
     assert ua.array == reference_ua(bd, ref_d)
-    ix = bd.index()
     for c in (inst.source, inst.target):
         const = potential._constants(bd, ua, c.vertices)
-        cap, _, zeros = potential._capacities(bd, ua, const)
-        assert cap == reference_capacities(bd, ua.array, const)
-        seeds = {ix.last - q for x, z in enumerate(zeros) if z == 1 for q in ix.into[x]}
-        assert seeds.issuperset(reference_short_pairs(bd, ua.array, const, cap))
+        assert capacity_table(bd, ua, c) == reference_capacities(bd, ua.array, const)
+        y, total, zeros, seeds = potential._sweep(bd, ua, const)
+        assert y == reference_sweep(bd, ua.array, const)
+        assert (total, zeros) == reference_totals(bd, ua.array, y)
+        assert set(seeds).issuperset(reference_short_pairs(bd, ua.array, const, y))
         pot = compute_potentials(bd, ua, c)
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(potential, "_capacities", _reference_start)
+            mp.setattr(potential, "_sweep", _reference_start)
             ref = compute_potentials(bd, ua, c)
-        assert pot.array == ref.array
-        assert pot.iteration_count == ref.iteration_count
+        assert (pot.array, pot.zeros, pot.iteration_count) == (
+            ref.array, ref.zeros, ref.iteration_count
+        )
         ref = reference_potentials(bd, ua, c)
         assert (pot.array, pot.zeros, pot.iteration_count) == (
             ref.array, ref.zeros, ref.iteration_count
         )
+        ref = reference_capacity_potentials(bd, ua, c)
+        assert (pot.array, pot.zeros) == (ref.array, ref.zeros)
+        assert pot.iteration_count <= ref.iteration_count
 
 
 @pytest.mark.parametrize("start", range(0, 3000, 500))
@@ -92,7 +105,7 @@ def test_passes_match_reference_on_ladder_shapes(shape):
 
 
 def test_capacity_totals_equal_fresh_sums():
-    """The totals the fixed point starts from are the node sums of the
+    """The totals the capacity pass ends with are the node sums of the
     capacities the same pass returns."""
     for inst in fuzz_corpus(500) + union_corpus(40):
         bd = decompose(inst.graph)
@@ -103,15 +116,40 @@ def test_capacity_totals_equal_fresh_sums():
             assert (total, zeros) == reference_totals(bd, ua.array, cap)
 
 
-def test_capacity_checks_fire_under_optimize():
-    """Both InternalError checks of the capacity pass are plain raises, so
-    they still fire under python -O."""
+def test_decide_runs_no_capacity_pass():
+    """The fixed point starts from the sweep: decide never calls the
+    capacity pass, which stays for the checker and matches its reference."""
+    ladder = []
+    for shape in sorted(LADDER):
+        g = LADDER[shape](336)
+        ladder.append(Instance(g, *gen_token_sets(g, g.n // 4, 1, 2)))
+    corpus = fuzz_corpus(500) + ladder
+
+    def refuse(*args):
+        raise AssertionError("decide ran the capacity pass")
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(potential, "_capacities", refuse)
+        for inst in corpus:
+            decide(inst.graph, inst.source, inst.target)
+    for inst in corpus:
+        bd = decompose(inst.graph)
+        ua = compute_ua(bd)
+        for c in (inst.source, inst.target):
+            const = potential._constants(bd, ua, c.vertices)
+            assert capacity_table(bd, ua, c) == reference_capacities(bd, ua.array, const)
+
+
+def _run_checks_under_optimize(name):
+    """Feed the pass `name` of blockslide.potential a negative constant and
+    then an index whose cut vertex has one side only, under python -O, and
+    return the InternalError messages it printed."""
     script = (
         "import sys\n"
         "if __debug__:\n"
         "    sys.exit('not running under -O')\n"
         "from blockslide import Graph, InternalError, compute_ua, decompose\n"
-        "from blockslide.potential import _capacities\n"
+        f"from blockslide.potential import {name} as run\n"
         "bd = decompose(Graph(3, [(0, 1), (1, 2)]))\n"
         "ua = compute_ua(bd)\n"
         "ix = bd.index()\n"
@@ -119,7 +157,7 @@ def test_capacity_checks_fire_under_optimize():
         "for const, into in (([-5] * 4, sides), ([0] * 4, sides[:1])):\n"
         "    ix.into = ix.into[:2] + (into,)\n"
         "    try:\n"
-        "        _capacities(bd, ua, const)\n"
+        "        run(bd, ua, const)\n"
         "    except InternalError as exc:\n"
         "        print(exc)\n"
     )
@@ -129,7 +167,22 @@ def test_capacity_checks_fire_under_optimize():
         capture_output=True, text=True, timeout=60,
     )
     assert result.returncode == 0, result.stderr
-    assert result.stdout.splitlines() == [
+    return result.stdout.splitlines()
+
+
+def test_capacity_checks_fire_under_optimize():
+    """Both InternalError checks of the capacity pass are plain raises, so
+    they still fire under python -O."""
+    assert _run_checks_under_optimize("_capacities") == [
         "negative capacity at pair id 0",
+        "beta is empty at pair id 1",
+    ]
+
+
+def test_sweep_checks_fire_under_optimize():
+    """Both InternalError checks of the potentials' sweep are plain raises,
+    so they still fire under python -O."""
+    assert _run_checks_under_optimize("_sweep") == [
+        "negative sweep value at pair id 0",
         "beta is empty at pair id 1",
     ]

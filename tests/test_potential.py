@@ -32,7 +32,7 @@ def test_path3_potentials(path3):
     c = TokenSet(path3, [0])
     pot = compute_potentials(bd, ua, c)
     assert pot.array == [1, 1, 0, 0]
-    # the capacities are already the fixed point: no increase
+    # the sweep already reaches the fixed point: no increase
     assert pot.iteration_count == 1
     # the restart sweep from 0 needs two increases
     ref = restart_sweep_potentials(bd, ua, c)
@@ -104,7 +104,7 @@ def test_potentials_on_unions_match_oracle(start):
 
 @pytest.mark.parametrize("start", range(0, 3000, 500))
 def test_potentials_match_restart_sweep(start):
-    """The worklist from the capacities reaches the restart sweep's values
+    """The worklist from the starting sweep reaches the restart sweep's values
     on fuzz seeds 0..2999, both token sets."""
     for inst in fuzz_corpus(500, seed=start):
         bd, ua = setup(inst.graph)

@@ -117,10 +117,7 @@ class BlockDecomposition:
     def cut_vertices(self):
         """The vertices lying in at least two blocks, as a frozenset."""
         if self._cut_vertices is None:
-            ix = self.index()
-            self._cut_vertices = frozenset(
-                ix.base[qs[0]] for qs in ix.into[len(self.members):]
-            )
+            self._cut_vertices = frozenset(self.index().cuts)
         return self._cut_vertices
 
     # --- block-cut tree queries -------------------------------------------
@@ -155,10 +152,11 @@ class BlockDecomposition:
         order of PairIndex: position i holds pair id i."""
         if self._pairs is None:
             ix = self.index()
-            nblocks = len(self.members)
-            self._pairs = tuple(
-                Pair(TO_VERTEX if x < nblocks else TO_BLOCK, u, b)
-                for x, u, b in zip(ix.node, ix.base, ix.block)
+            nblocks, cuts = len(self.members), ix.cuts
+            self._pairs = tuple(  # the reverse of pair p starts from node[last - p]
+                Pair(TO_VERTEX, cuts[y - nblocks], x) if x < nblocks
+                else Pair(TO_BLOCK, cuts[x - nblocks], y)
+                for x, y in zip(ix.node, reversed(ix.node))
             )
         return self._pairs
 
@@ -169,9 +167,9 @@ class BlockDecomposition:
         if 0 <= p.base < self.graph.n:
             x = ix.node_of[p.base]
             if x >= len(self.members):  # a cut vertex: into[x] holds its (B,u)
-                sides = ix.into[x]  # by block id
-                i = bisect_left(sides, p.block, key=ix.block.__getitem__)
-                if i < len(sides) and ix.block[sides[i]] == p.block:
+                sides = ix.into[x]  # by block id, each (B,u) starting from B
+                i = bisect_left(sides, p.block, key=ix.node.__getitem__)
+                if i < len(sides) and ix.node[sides[i]] == p.block:
                     return sides[i] if p.is_to_vertex else ix.last - sides[i]
         raise InvalidPairError(f"pair {p} is not valid for this decomposition")
 
@@ -242,10 +240,14 @@ class PairIndex:
     """Integer ids for the pairs of a decomposition, in flat lists.
 
     Tree nodes are numbered blocks first (node B is block B), then cut
-    vertices in increasing order.  node_of[v] is v's node if v is a cut
-    vertex, else the one block holding v.  node[p] is the node p's side
-    starts from: B for (B,u), u for (u,B), so p is a (B,u) exactly when
-    node[p] is below the number of blocks.  base[p] and block[p] name it.
+    vertices in increasing order: cuts is the sorted list of cut vertices,
+    and node nblocks + i is cuts[i].  node_of[v] is v's node if v is a cut
+    vertex, else the one block holding v, and -1 for a vertex outside the
+    decomposition's blocks.  node[p] is the node p's side starts from: B
+    for (B,u), u for (u,B), so p is a (B,u) exactly when node[p] is below
+    the number of blocks.  The index keeps no per-pair list of p's block
+    or base: p's block is whichever of node[p] and node[last - p] is a
+    block, and its base the cut vertex of the other.
     into[x] is the tuple of pairs whose sides lie beyond x's tree edges, in
     canonical order: the (v,B) pairs of block B by cut vertex, or the (B,u)
     pairs of cut vertex u by block id.  A pair depends on into[node[p]]
@@ -275,7 +277,7 @@ class PairIndex:
     own blocks only, beyond three n-entry lists.
     """
 
-    __slots__ = ("base", "block", "node", "into", "node_of", "last")
+    __slots__ = ("node", "into", "node_of", "last", "cuts")
 
     def __init__(self, bd):
         members = bd.members
@@ -291,7 +293,7 @@ class PairIndex:
         # Per node, its neighbours in the forest in canonical order, as int
         # tuples: a block's cut vertices by vertex, a cut vertex's blocks by
         # id, each cut vertex's from its run of the flat list around.
-        node_of = [0] * bd.graph.n
+        node_of = [-1] * bd.graph.n
         start = [0] * bd.graph.n  # next free slot of cut vertex u's run
         edges = 0  # a tree edge per cut vertex and block holding it
         for x, u in enumerate(cuts, nblocks):
@@ -319,13 +321,13 @@ class PairIndex:
         # neighbours: a child y's pair, or for the parent, x's reverse.
         last = 2 * edges - 1
         found = []  # each node reached from its parent, in that order
-        parent = [-1] * len(into)
+        up = []  # the parent of each node of found
         down = [-1] * len(into)  # per node reached, the id of its pair
         nxt = edges - 1
         for root in range(nblocks):
             if down[root] != -1:
                 continue
-            down[root] = parent[root] = root  # a root has no pair
+            down[root] = root  # a root has no pair
             stack = [root]
             while stack:
                 x = stack.pop()
@@ -335,8 +337,8 @@ class PairIndex:
                     if p == -1:  # a child of x
                         p = down[y] = nxt
                         nxt -= 1
-                        parent[y] = x
                         found.append(y)
+                        up.append(x)
                         if len(into[y]) == 1:  # a leaf: x is all it sees
                             into[y] = (last - p,)
                         else:
@@ -345,18 +347,8 @@ class PairIndex:
                         p = last - down[x]
                     ids.append(p)
                 into[x] = tuple(ids)
-        # Per node reached, the block and the cut vertex of the edge to its
-        # parent, which both pairs of the edge name.
-        edge_block = list(range(nblocks)) + parent[nblocks:]
-        vertex = [-1] * nblocks + cuts  # per cut vertex's node, the vertex
-        edge_base = list(map(vertex.__getitem__, parent[:nblocks])) + cuts
-        half = list(map(edge_block.__getitem__, found))
-        block = half[::-1] + half
-        half = list(map(edge_base.__getitem__, found))
-        base = half[::-1] + half
-        node = found[::-1] + list(map(parent.__getitem__, found))
-        self.base, self.block, self.node = base, block, node
-        self.into, self.node_of, self.last = tuple(into), node_of, last
+        self.node = found[::-1] + up
+        self.into, self.node_of, self.last, self.cuts = tuple(into), node_of, last, cuts
 
 
 def _biconnected_blocks(graph):

@@ -70,14 +70,13 @@ def cmd_potentials(args, out):
         seen[i] += 1
     lines = [[] for _ in seen]
     y, a, d = pot.array, ua.array, compute_depths(bd)
-    for sides in ix.into[len(bd.members):]:
-        u = ix.base[sides[0]] + 1
+    for u, sides in zip(ix.cuts, ix.into[len(bd.members):]):
         for p in sides:
-            b = ix.block[p]
+            b = ix.node[p]
             rows = lines[tree[b]]
-            rows.append(f"pot B{local[b]}->{u} = {y[p]} ua={int(a[p])} d={d[p]}")
+            rows.append(f"pot B{local[b]}->{u + 1} = {y[p]} ua={int(a[p])} d={d[p]}")
             p = ix.last - p
-            rows.append(f"pot {u}->B{local[b]} = {y[p]} ua={int(a[p])} d={d[p]}")
+            rows.append(f"pot {u + 1}->B{local[b]} = {y[p]} ua={int(a[p])} d={d[p]}")
     for idx, rows in enumerate(lines):
         if bd.trees > 1:
             print(f"# component {idx}", file=out)

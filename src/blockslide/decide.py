@@ -116,7 +116,7 @@ def rigid_vertices(bd, ua, pot):
     the nodes x whose count pot.zeros[x] of such sides the fixed point ends
     with at two or more, which only cut vertices' nodes reach."""
     ix = bd.index()
-    ua, y, last = ua.array, pot.array, ix.last
+    ua, y, last, nblocks = ua.array, pot.array, ix.last, len(bd.members)
     rigid = []
     for x, zeros in enumerate(pot.zeros):
         if zeros < 2:
@@ -124,7 +124,7 @@ def rigid_vertices(bd, ua, pot):
         # into[x] holds the (B,u) pairs of u, and last - q is (u,B);
         # rigidity forces every outward side of u to ua True / potential 0
         sides = ix.into[x]
-        u = ix.base[sides[0]]
+        u = ix.cuts[x - nblocks]
         if not all(ua[last - q] and y[last - q] == 0 for q in sides):
             raise InternalError(f"rigid vertex {u} violates ua/pot")
         rigid.append(u)
@@ -205,7 +205,7 @@ def _first_failure(bd, ua, pots, c1, c2, with_tokens):
         u = min(u for u in w1 ^ w2 if label[u] == first)
         which = 0 if u in w1 else 1
         y, a = pots[which].array, ua.array
-        sides = [(members[ix.block[q]], u) for q in into[node_of[u]] if a[q] and y[q] == 0]
+        sides = [(members[node[q]], u) for q in into[node_of[u]] if a[q] and y[q] == 0]
         found = RigidMismatch(u, ("source", "target")[which], tuple(sides[:2]))
         return Verdict(False, Reason.RIGID_MISMATCH, found)
     found = Reachable(tuple(sorted(w1)), with_tokens - len(cut) + len(owner) - empty)

@@ -3,7 +3,13 @@
 Both run over the flat lists of the pair index (BlockDecomposition.index)
 and give one value per pair id.
 Each pair's equation has a constant term: ua(p), minus, for a (B,u) pair,
-the tokens of B other than u.  The capacity is one pass over the pair ids,
+the tokens of B other than u.  A block is a clique and a token set is
+independent, so a block holds at most one token, and the passes read the
+constant from one mark per block, not from a list by pair id: tok[B] is
+the node of B's token (its cut node, or B itself for a token that is no
+cut vertex), or -1 when B holds none.  A (B,u) pair's constant is
+ua(p) - (-1 != tok[B] != node[last - p]), node[last - p] being u's node,
+and a (u,B) pair's is ua(p).  The capacity is one pass over the pair ids,
 which follow the index's rooted order, with running totals per node: a
 pair reads its node's totals minus its reverse last - p, and adds its own
 value to the totals of node[last - p], so every pair costs O(1).
@@ -56,7 +62,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import InternalError
+from .errors import BlockslideError, InternalError, NotIndependentError
 
 
 @dataclass
@@ -71,25 +77,28 @@ class Potentials:
     zeros: list
 
 
-def _constants(bd, ua, vertices):
-    """Per pair id: ua(p), minus for (B,u) the tokens of B other than u.
-    ua is compute_ua's record for bd."""
+def _marks(bd, c):
+    """Per block B, the node of the token of C in B, or -1 if B holds none:
+    the token's cut node, or B itself for a token that is no cut vertex.
+    C is a TokenSet or any iterable of distinct vertices of bd's blocks,
+    at most one per block."""
     ix = bd.index()
-    into, base, node, node_of, last = ix.into, ix.base, ix.node, ix.node_of, ix.last
     nblocks = len(bd.members)
-    const = list(map(int, ua.array))
-    for v in vertices:
-        x = node_of[v]
-        blocks = (x,) if x < nblocks else map(node.__getitem__, into[x])
-        for b in blocks:
-            for q in into[b]:  # the (u,B) pairs of B; last - q is (B,u)
-                if base[q] != v:
-                    const[last - q] -= 1
-    return const
+    tok = [-1] * nblocks
+    for v in c:
+        bd.graph._check_vertex(v)  # VertexOutOfRangeError outside 0..n-1
+        x = ix.node_of[v]
+        if x < 0:
+            raise BlockslideError(f"token {v} lies outside the decomposition's blocks")
+        for b in (x,) if x < nblocks else map(ix.node.__getitem__, ix.into[x]):
+            if tok[b] != -1:
+                raise NotIndependentError()
+            tok[b] = x
+    return tok
 
 
-def _capacities(bd, ua, const):
-    """cap(C[p]) for every pair id, from the constants of token set C, and
+def _capacities(bd, ua, tok):
+    """cap(C[p]) for every pair id, from the token marks of C, and
     the running totals per node x over into[x]: for a block, the sum of cap;
     for a cut vertex, the sum of cap - ua, and the count of pairs with
     cap = 0 and ua, which blocks its (u,B) pairs at two.  Unset caps are 0,
@@ -103,32 +112,36 @@ def _capacities(bd, ua, const):
     cap = [0] * len(node)
     for p, x in enumerate(node):
         r = last - p
+        held = node[r]  # p is one of into[held]
         if x < nblocks:
-            value = total[x] - cap[r] + const[p]
+            value = total[x] - cap[r] + ua[p] - (-1 != tok[x] != held)
         elif len(into[x]) < 2:
             raise InternalError(f"beta is empty at pair id {p}")
         elif zeros[x] - (cap[r] == 0 and ua[r]):
             value = 0
         else:
-            value = total[x] - (cap[r] - ua[r]) + const[p]
+            value = total[x] - (cap[r] - ua[r]) + ua[p]
         if value < 0:
             raise InternalError(f"negative capacity at pair id {p}")
         cap[p] = value
-        total[node[r]] += value  # p is one of into[node[r]]
+        total[held] += value
         if value and x < nblocks and ua[p]:
-            zeros[node[r]] -= 1
+            zeros[held] -= 1
     return cap, total, zeros
 
 
 def capacity_table(bd, ua, c):
     """cap(C[p]) per pair id for the token set C: a TokenSet or any
-    iterable of distinct vertices."""
-    return _capacities(bd, ua, _constants(bd, ua, c))[0]
+    iterable of distinct vertices of bd's blocks.  Raises
+    VertexOutOfRangeError for a vertex outside the graph, BlockslideError
+    for one outside bd's blocks, and NotIndependentError for two tokens in
+    one block."""
+    return _capacities(bd, ua, _marks(bd, c))[0]
 
 
-def _sweep(bd, ua, const):
+def _sweep(bd, ua, tok):
     """One pass of the potential's own rule over the pair ids, from the
-    constants of token set C, with unset pairs counted as 0: a (B,u) takes
+    token marks of C, with unset pairs counted as 0: a (B,u) takes
     its equation, and a (u,B) stays 0 while its node's zero count is at
     least two, else takes its equation.  Returns the values; the running
     totals and zero counts per node, as _capacities keeps them; and the
@@ -144,21 +157,22 @@ def _sweep(bd, ua, const):
     frozen = []
     for p, x in enumerate(node):
         r = last - p
+        held = node[r]  # p is one of into[held]
         if x < nblocks:
-            value = total[x] - y[r] + const[p]
+            value = total[x] - y[r] + ua[p] - (-1 != tok[x] != held)
         elif len(into[x]) < 2:
             raise InternalError(f"beta is empty at pair id {p}")
         elif zeros[x] >= 2:
             frozen.append(p)  # stays 0, which adds nothing to the totals
             continue
         else:
-            value = total[x] - (y[r] - ua[r]) + const[p]
+            value = total[x] - (y[r] - ua[r]) + ua[p]
         if value < 0:
             raise InternalError(f"negative sweep value at pair id {p}")
         y[p] = value
-        total[node[r]] += value  # p is one of into[node[r]]
+        total[held] += value
         if value and x < nblocks and ua[p]:
-            zeros[node[r]] -= 1
+            zeros[held] -= 1
     return y, total, zeros, [p for p in frozen if zeros[node[p]] < 2]
 
 
@@ -167,12 +181,14 @@ def compute_potentials(bd, ua, c):
     or any iterable of distinct vertices of bd's blocks; the number of
     increases plus one; and the zero counts per node, as a Potentials
     record.  The host graph may be disconnected: no equation reaches
-    across components."""
+    across components.  Raises VertexOutOfRangeError for a vertex outside
+    the graph, BlockslideError for one outside bd's blocks, and
+    NotIndependentError for two tokens in one block."""
     ix = bd.index()
     node, into, last = ix.node, ix.into, ix.last
     nblocks = len(bd.members)
-    const = _constants(bd, ua, c)
-    y, total, zeros, seeds = _sweep(bd, ua, const)  # kept running as y grows
+    tok = _marks(bd, c)
+    y, total, zeros, seeds = _sweep(bd, ua, tok)  # kept running as y grows
     ua = ua.array
 
     # By id, the pairs to evaluate: at first the frozen (u,B) pairs the
@@ -202,17 +218,17 @@ def compute_potentials(bd, ua, c):
             p = scan
         queued[p] = 0
         x, r = node[p], last - p
+        held = node[r]
         if x < nblocks:
-            candidate = total[x] - y[r] + const[p]
+            candidate = total[x] - y[r] + ua[p] - (-1 != tok[x] != held)
         elif zeros[x] >= 2:
             continue
         else:
-            candidate = total[x] - (y[r] - ua[r]) + const[p]
+            candidate = total[x] - (y[r] - ua[r]) + ua[p]
         if candidate <= y[p]:
             continue
         increases += 1
         # p is one of into[held]: update held's totals, requeue its reverses
-        held = node[r]
         total[held] += candidate - y[p]
         if x < nblocks and y[p] == 0 and ua[p]:
             zeros[held] -= 1

@@ -131,19 +131,23 @@ class ReferenceDecomposition:
 
 
 def check_against_reference(bd):
-    """Every view of bd equals the eager reference's; pairs() and every
-    list of bd.index() equal the reference's read through its rooted
-    order, and into[x] holds the same pairs in the same canonical order."""
+    """Every view of bd equals the eager reference's; pairs(), the base
+    and block of each, and every list of bd.index() equal the reference's
+    read through its rooted order, into[x] holds the same pairs in the
+    same canonical order, and cuts lists the cut vertices in order."""
     ref = ReferenceDecomposition(bd.graph)
     assert bd.members == tuple(tuple(sorted(b)) for b in ref.blocks)
     assert bd.blocks == ref.blocks
     assert bd.blocks_of == ref.blocks_of
     assert bd.cut_vertices == ref.cut_vertices
     order = ref.order
-    assert bd.pairs() == tuple(ref.pairs[p] for p in order)
+    pairs = bd.pairs()
+    assert pairs == tuple(ref.pairs[p] for p in order)
     ix = bd.index()
     assert ix.last == len(order) - 1
-    for mine, theirs in ((ix.base, ref.base), (ix.block, ref.block), (ix.node, ref.node)):
+    assert ix.cuts == sorted(bd.cut_vertices)
+    base, block = [p.base for p in pairs], [p.block for p in pairs]
+    for mine, theirs in ((base, ref.base), (block, ref.block), (ix.node, ref.node)):
         assert mine == [theirs[p] for p in order]
     assert ix.into == tuple(tuple(ref.pos[q] for q in qs) for qs in ref.into)
     assert ix.node_of == ref.node_of

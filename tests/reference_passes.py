@@ -21,6 +21,8 @@ the pairs the sweep can leave short, and must reach the same potentials,
 zeros and iteration_count.  reference_capacity_potentials is the same
 worklist started from reference_capacities, the start the fixed point had
 before the sweep; its iteration_count bounds the sweep-started one.
+reference_constants lists each pair's constant term, counting the tokens
+of each block afresh, where blockslide reads them from one mark per block.
 
 The reference numbers pairs canonically, pair 2k (B,u) and 2k+1 its
 reverse, and blockslide by rooted position.  Every function here takes and
@@ -218,6 +220,13 @@ def _constants(ref, ua, c):
         int(a) - (0 if p & 1 else sum(1 for v in ref.blocks[b] if v != u and v in tokens))
         for p, (a, u, b) in enumerate(zip(ua, ref.base, ref.block))
     ]
+
+
+def reference_constants(bd, ua, c):
+    """Per pair id: ua(p), minus for (B,u) the tokens of B other than u,
+    from the ua list and the token set C."""
+    ref, ua = _canonical(bd, ua)
+    return _by_id(ref, _constants(ref, ua, c))
 
 
 def _fixed_point(bd, ua, c, start):

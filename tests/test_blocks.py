@@ -210,19 +210,22 @@ def test_opposite_sides_cover_graph(idx):
 
 def check_pair_index(bd):
     """The rooted-id contract: pairs() by id, each pair's reverse at
-    last - p, its direction from node[p], its dependencies at lower ids,
-    and every into[x] in canonical order."""
+    last - p, its direction from node[p], its block and base cut vertex
+    from node[p] and node[last - p], its dependencies at lower ids, every
+    into[x] in canonical order, and the cut vertices in order in cuts."""
     pairs = bd.pairs()
     ix = bd.index()
     nblocks = len(bd.members)
     assert ix.last == len(pairs) - 1 == len(ix.node) - 1
+    assert ix.cuts == sorted(bd.cut_vertices)
     assert len(set(pairs)) == len(pairs)
     for i, p in enumerate(pairs):
         assert bd.pair_id(p) == i
         assert pairs[ix.last - i] == p.reverse()
-        assert (ix.base[i], ix.block[i]) == (p.base, p.block)
+        assert p.base in bd.members[p.block]
         assert (ix.node[i] < nblocks) == p.is_to_vertex
         assert ix.node[i] == (p.block if p.is_to_vertex else ix.node_of[p.base])
+        assert ix.node[ix.last - i] == (ix.node_of[p.base] if p.is_to_vertex else p.block)
         if p.is_to_vertex:
             deps = [Pair(TO_BLOCK, v, p.block) for v in bd.kappa(p.block, p.base)]
         else:

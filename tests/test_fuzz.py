@@ -98,10 +98,10 @@ def zero_sides_off_tokens(monkeypatch):
 
     def compute_potentials(bd, ua, c):
         pot = original(bd, ua, c)
-        ix = bd.index()
+        pairs = bd.pairs()
         for p in range(0, len(pot.array), 2):
-            block = bd.members[ix.block[p]]
-            if ua.array[p] and not any(v in c for v in block if v != ix.base[p]):
+            block = bd.members[pairs[p].block]
+            if ua.array[p] and not any(v in c for v in block if v != pairs[p].base):
                 pot.array[p] = 0
         return pot
 

@@ -31,6 +31,7 @@ from conftest import LADDER, fuzz_corpus, shuffled_unions, union_corpus
 from reference_passes import (
     reference_capacities,
     reference_capacity_potentials,
+    reference_constants,
     reference_depths,
     reference_potentials,
     reference_short_pairs,
@@ -40,11 +41,15 @@ from reference_passes import (
 )
 
 
-def _reference_start(bd, ua, const):
-    """The reference sweep with fresh node sums, seeding exactly the pairs
-    below their equation."""
-    y = reference_sweep(bd, ua.array, const)
-    return (y, *reference_totals(bd, ua.array, y), reference_short_pairs(bd, ua.array, const, y))
+def _reference_start(const):
+    """In place of _sweep, the reference sweep from the constants const,
+    with fresh node sums, seeding exactly the pairs below their
+    equation."""
+    def start(bd, ua, tok):
+        y = reference_sweep(bd, ua.array, const)
+        return (y, *reference_totals(bd, ua.array, y),
+                reference_short_pairs(bd, ua.array, const, y))
+    return start
 
 
 def check_against_reference(inst):
@@ -61,15 +66,15 @@ def check_against_reference(inst):
     ua = compute_ua(bd)
     assert ua.array == reference_ua(bd, ref_d)
     for c in (inst.source, inst.target):
-        const = potential._constants(bd, ua, c.vertices)
+        const = reference_constants(bd, ua.array, c)
         assert capacity_table(bd, ua, c) == reference_capacities(bd, ua.array, const)
-        y, total, zeros, seeds = potential._sweep(bd, ua, const)
+        y, total, zeros, seeds = potential._sweep(bd, ua, potential._marks(bd, c))
         assert y == reference_sweep(bd, ua.array, const)
         assert (total, zeros) == reference_totals(bd, ua.array, y)
         assert set(seeds).issuperset(reference_short_pairs(bd, ua.array, const, y))
         pot = compute_potentials(bd, ua, c)
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(potential, "_sweep", _reference_start)
+            mp.setattr(potential, "_sweep", _reference_start(const))
             ref = compute_potentials(bd, ua, c)
         assert (pot.array, pot.zeros, pot.iteration_count) == (
             ref.array, ref.zeros, ref.iteration_count
@@ -111,8 +116,7 @@ def test_capacity_totals_equal_fresh_sums():
         bd = decompose(inst.graph)
         ua = compute_ua(bd)
         for c in (inst.source, inst.target):
-            const = potential._constants(bd, ua, c.vertices)
-            cap, total, zeros = potential._capacities(bd, ua, const)
+            cap, total, zeros = potential._capacities(bd, ua, potential._marks(bd, c))
             assert (total, zeros) == reference_totals(bd, ua.array, cap)
 
 
@@ -136,28 +140,31 @@ def test_decide_runs_no_capacity_pass():
         bd = decompose(inst.graph)
         ua = compute_ua(bd)
         for c in (inst.source, inst.target):
-            const = potential._constants(bd, ua, c.vertices)
+            const = reference_constants(bd, ua.array, c)
             assert capacity_table(bd, ua, c) == reference_capacities(bd, ua.array, const)
 
 
 def _run_checks_under_optimize(name):
-    """Feed the pass `name` of blockslide.potential a negative constant and
-    then an index whose cut vertex has one side only, under python -O, and
-    return the InternalError messages it printed."""
+    """Feed the pass `name` of blockslide.potential a token mark on a block
+    whose (B,u) pair has its ua patched to False, so that its constant is
+    negative, and then an index whose cut vertex has one side only, under
+    python -O, and return the InternalError messages it printed."""
     script = (
         "import sys\n"
         "if __debug__:\n"
         "    sys.exit('not running under -O')\n"
         "from blockslide import Graph, InternalError, compute_ua, decompose\n"
-        f"from blockslide.potential import {name} as run\n"
+        f"from blockslide.potential import _marks, {name} as run\n"
         "bd = decompose(Graph(3, [(0, 1), (1, 2)]))\n"
         "ua = compute_ua(bd)\n"
         "ix = bd.index()\n"
         "sides = ix.into[2]  # the cut vertex's (B,u) pairs\n"
-        "for const, into in (([-5] * 4, sides), ([0] * 4, sides[:1])):\n"
+        "(q,) = ix.into[1]  # block {1, 2}'s (1,B); last - q is its (B,1)\n"
+        "for a, tokens, into in ((False, [2], sides), (True, [], sides[:1])):\n"
+        "    ua.array[ix.last - q] = a\n"
         "    ix.into = ix.into[:2] + (into,)\n"
         "    try:\n"
-        "        run(bd, ua, const)\n"
+        "        run(bd, ua, _marks(bd, tokens))\n"
         "    except InternalError as exc:\n"
         "        print(exc)\n"
     )

@@ -1,11 +1,20 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import blockslide
 from blockslide import (
+    BlockslideError,
     Graph,
+    NotIndependentError,
     TokenSet,
     capacity_table,
     compute_potentials,
     compute_ua,
+    VertexOutOfRangeError,
     decompose,
     oracle_potential,
     oracle_potential_table,
@@ -131,3 +140,52 @@ def test_single_clique_trivial():
     pot = compute_potentials(bd, ua, TokenSet(g, [1]))
     assert pot.array == []
     assert pot.iteration_count == 1
+
+
+
+# Per token set on the P3 {3, 4, 5} kept beside the P3 {0, 1, 2}, the error
+# both passes raise: vertex 0 lies in no kept block, -1 and 99 in no graph,
+# and 3 and 4 share a block.
+BAD_TOKENS = [
+    ([0], BlockslideError, "token 0 lies outside the decomposition's blocks"),
+    ([-1], VertexOutOfRangeError, "vertex -1 out of range for graph with 6 vertices"),
+    ([99], VertexOutOfRangeError, "vertex 99 out of range for graph with 6 vertices"),
+    ([3, 4], NotIndependentError, "set is not an independent set"),
+]
+
+
+def test_tokens_outside_the_decomposition_are_rejected():
+    """A token outside the index's blocks or the graph, or a second token
+    in one block, raises for both passes instead of being read as a token
+    elsewhere; the checks are plain raises, so they also fire under
+    python -O."""
+    bd = decompose(Graph(6, [(0, 1), (1, 2), (3, 4), (4, 5)])).within({1})
+    ua = compute_ua(bd)
+    assert bd.members == ((3, 4), (4, 5))
+    for tokens, error, message in BAD_TOKENS:
+        for run in (compute_potentials, capacity_table):
+            with pytest.raises(BlockslideError) as exc:
+                run(bd, ua, tokens)
+            assert (type(exc.value), str(exc.value)) == (error, message)
+    script = (
+        "import sys\n"
+        "if __debug__:\n"
+        "    sys.exit('not running under -O')\n"
+        "from blockslide import *\n"
+        "bd = decompose(Graph(6, [(0, 1), (1, 2), (3, 4), (4, 5)])).within({1})\n"
+        "ua = compute_ua(bd)\n"
+        f"for tokens in {[tokens for tokens, _, _ in BAD_TOKENS]}:\n"
+        "    for run in (compute_potentials, capacity_table):\n"
+        "        try:\n"
+        "            run(bd, ua, tokens)\n"
+        "        except BlockslideError as exc:\n"
+        "            print(type(exc).__name__, exc)\n"
+    )
+    result = subprocess.run(
+        [sys.executable, "-O", "-c", script],
+        env=dict(os.environ, PYTHONPATH=str(Path(blockslide.__file__).parents[1])),
+        capture_output=True, text=True, timeout=60,
+    )
+    assert result.returncode == 0, result.stderr
+    expected = [f"{error.__name__} {message}" for _, error, message in BAD_TOKENS]
+    assert result.stdout.splitlines() == [line for line in expected for _ in range(2)]

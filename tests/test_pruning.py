@@ -144,7 +144,7 @@ def indices(monkeypatch):
 
     def init(self, bd):
         original(self, bd)
-        built.append(len(self.base))
+        built.append(len(self.node))
 
     monkeypatch.setattr(blocks.PairIndex, "__init__", init)
     return built

@@ -6,11 +6,12 @@ blocks_of and cut_vertices on first read; PairIndex fills flat lists and
 int tuples.  reference_blocks builds the same tables eagerly, the way they
 were built before.  Views, pairs and index must equal it, decide must read
 no view, and a decomposition plus its index must keep no garbage-collected
-container per block or per vertex.
+container per block or per vertex, nor a per-pair list it does not need.
 """
 
 import gc
 import random
+import tracemalloc
 
 import pytest
 
@@ -98,3 +99,20 @@ def test_decomposition_keeps_no_container_per_block(shape):
     so neither graph leaves more than a few dozen tracked objects."""
     g = parse_instance(HEADERS[shape] + "\ns\nt\n").graph
     assert _tracked_growth(g) <= 40
+
+
+@pytest.mark.parametrize("shape", ["path", "star"])
+def test_index_keeps_no_extra_per_pair_list(shape):
+    """The index of a 65,536-vertex path or star retains at most 100 bytes
+    per pair, as tracemalloc counts them: about 90 with node, into,
+    node_of and cuts.  Two more lists by pair id, each pair's block and
+    base, took it to 112 on the path and 122 on the star."""
+    bd = decompose(LADDER[shape](65_536))  # the DFS runs before the trace
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        ix = bd.index()
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert retained <= 100 * len(ix.node), retained / len(ix.node)

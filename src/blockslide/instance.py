@@ -132,6 +132,28 @@ class _KeyedEdges:
         return len(self.keys)
 
 
+# The text of each id 1, 2, ..., written without leading zeros, to its
+# 0-based id: one table for every text, since what it holds depends on n
+# alone.  _id_table grows it to a text's n and never shrinks it, up to
+# _IDS_CAP ids, where it retains 7.2 MiB (tracemalloc, Python 3.11).  A
+# table built per text costs 66-77 us at n = 358, 6-8% of a solve of the
+# benchmark's forest pool.  A parse that reads _IDS while another thread
+# grows it can only miss an id, which sends its text to the line walk.
+_IDS = {}
+_IDS_CAP = 1 << 16
+
+
+def _id_table(n):
+    """A table holding the text of each id 1..n: _IDS, grown to n if it is
+    shorter, or above _IDS_CAP a table of the n ids alone."""
+    if n > _IDS_CAP:
+        return dict(zip(map(str, range(1, n + 1)), range(n)))
+    have = len(_IDS)
+    if n > have:
+        _IDS.update(zip(map(str, range(have + 1, n + 1)), range(have, n)))
+    return _IDS
+
+
 def _parse_rendered(text):
     """The Instance of a text in render_instance's layout, or None.
 
@@ -142,10 +164,14 @@ def _parse_rendered(text):
     LFs and no other line break, every line starts with 'e ', and it holds
     3m words.  Every endpoint field must then be an id, so no line's 'e'
     sits in an endpoint slot: the m lines' 'e's take the m slots 0 mod 3,
-    and each line is 'e u v'.  Whenever n <= m, the fields are looked up
-    in one table from the text of each id 1..n, written without leading
-    zeros, to its 0-based id; a sparser text converts each field that is
-    a run of digits.
+    and each line is 'e u v'.  The fields are looked up in _IDS, the
+    shared table from the text of each id to its 0-based id, whenever it
+    already covers 1..n or n <= m, after growing it to n if need be; a
+    text of more than _IDS_CAP vertices and n <= m looks them up in a
+    table of its own.  A sparser text that _IDS does not cover converts
+    each field that is a run of digits.  A zero-padded field, '0' or any
+    other spelling misses every table.  An id above n may hit _IDS, and
+    Graph rejects it as out of range.
 
     None on any other text and on any failed check, those of the ranges,
     the graph and the token sets included: the line walk then reports the
@@ -187,13 +213,8 @@ def _parse_rendered(text):
     if not (_decimal(source) and _decimal(target)):
         return None
     try:
-        if n <= m:
-            # One table from the text of each id 1..n to its 0-based id,
-            # which a field out of range or zero-padded misses.  It pays
-            # when an id recurs on two fields or more on average: on a
-            # 65,536-vertex caterpillar (m = n - 1) it made the conversion
-            # 27% slower than one int() per field.
-            get = dict(zip(map(str, range(1, n + 1)), range(n))).__getitem__
+        if n <= len(_IDS) or n <= m:
+            get = _id_table(n).__getitem__
             us = list(map(get, us))
             vs = list(map(get, vs))
             del get

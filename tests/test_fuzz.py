@@ -93,19 +93,25 @@ def test_injected_fault_is_reported_under_its_category(category, monkeypatch):
 
 def zero_sides_off_tokens(monkeypatch):
     """Every (B,u) with ua whose block holds no token but u is put at
-    potential 0, which only a rigid vertex's sides may be."""
+    potential 0, which only a rigid vertex's sides may be.  Returns the
+    list that the pairs it lowers from a positive value are appended to."""
     original = fuzz_mod.compute_potentials
+    lowered = []
 
     def compute_potentials(bd, ua, c):
         pot = original(bd, ua, c)
-        pairs = bd.pairs()
-        for p in range(0, len(pot.array), 2):
-            block = bd.members[pairs[p].block]
-            if ua.array[p] and not any(v in c for v in block if v != pairs[p].base):
+        for p, pair in enumerate(bd.pairs()):
+            if not pair.is_to_vertex:
+                continue
+            block = bd.members[pair.block]
+            if ua.array[p] and not any(v in c for v in block if v != pair.base):
+                if pot.array[p]:
+                    lowered.append(pair)
                 pot.array[p] = 0
         return pot
 
     monkeypatch.setattr(fuzz_mod, "compute_potentials", compute_potentials)
+    return lowered
 
 
 def test_zero_side_without_a_token_is_reported(monkeypatch):
@@ -113,8 +119,9 @@ def test_zero_side_without_a_token_is_reported(monkeypatch):
     potentials break their equations too, so other categories fire with
     it."""
     inst = gen_fuzz_instance(SEED)
-    zero_sides_off_tokens(monkeypatch)
+    lowered = zero_sides_off_tokens(monkeypatch)
     report = evaluate_instance(inst)
+    assert lowered, "the injection lowered no (B,u) pair"
     assert any(
         found == "rigid" and "holds no token of its block" in message
         for found, message in report.violations

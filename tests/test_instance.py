@@ -466,10 +466,11 @@ def line_walks(monkeypatch):
 
 
 def test_fields_that_miss_the_id_table_take_the_line_walk(line_walks):
-    """With n <= m the endpoint fields are looked up in one table of the
-    ids 1..n: a zero-padded id and one out of range miss it, and the line
-    walk then gives the reference's instance or error, the padded text
-    the instance of the plain one."""
+    """With n <= m the endpoint fields are looked up in the shared id
+    table: a zero-padded id misses it, and an id out of range misses it or,
+    when an earlier text grew the table past n, hits it and is rejected by
+    Graph.  Either way the line walk then gives the reference's instance or
+    error, the padded text the instance of the plain one."""
     texts = [
         render_instance(inst) for inst in fuzz_corpus(60)
         if 0 < inst.graph.n <= inst.graph.m
@@ -487,6 +488,73 @@ def test_fields_that_miss_the_id_table_take_the_line_walk(line_walks):
         assert got == ("error", VertexOutOfRangeError, f"line 2: vertex {n + 1} out of range "
                        f"for graph with {n} vertices", 2)
     assert len(line_walks) == 2 * len(texts)
+
+
+ID_TABLE_GROWN = 4096
+
+
+@pytest.fixture(params=["empty", "grown"])
+def ids(request, monkeypatch):
+    """The shared id table, empty or grown past every n of the texts
+    below but the K3 chain's; the module's own table is restored after."""
+    monkeypatch.setattr(instance_module, "_IDS", {})
+    if request.param == "grown":
+        instance_module._id_table(ID_TABLE_GROWN)
+    return instance_module._IDS
+
+
+def test_an_id_above_n_in_the_table_is_reported_by_the_line_walk(ids, line_walks):
+    """An id in (n, len(_IDS)] hits the shared table; Graph rejects it, and
+    the line walk reports it at its line, as the reference does."""
+    text = "p 3 3\ne 1 2\ne 2 3\ne 3 {}\ns 1\nt 3\n"
+    size = len(ids)
+    for v in (4, 9, ID_TABLE_GROWN):
+        got = outcome(parse_instance, text.format(v))
+        assert got == outcome(reference_parse_instance, text.format(v))
+        assert got == ("error", VertexOutOfRangeError,
+                       f"line 4: vertex {v} out of range for graph with 3 vertices", 4)
+    assert len(line_walks) == 3
+    assert len(ids) == max(size, 3)
+
+
+@pytest.mark.parametrize("field", ["0", "01", "001", "02", "03", "0004"])
+def test_zero_and_padded_ids_match_the_reference(ids, line_walks, field):
+    """'0' and zero-padded ids miss every table, and the line walk rejects
+    0 and reads a padded id as the number it spells; a sparse text the
+    table does not cover converts them with int()."""
+    dense = f"p 3 3\ne 1 2\ne 2 3\ne {field} 1\ns 1\nt 3\n"
+    sparse = f"p 5 1\ne 2 {field}\ns 1\nt 5\n"
+    for text in (dense, sparse):
+        assert outcome(parse_instance, text) == outcome(reference_parse_instance, text)
+    assert line_walks[0] == dense
+
+
+def test_a_sparse_text_the_table_covers_parses_as_the_reference(ids, line_walks):
+    """With m < n the fields are looked up in the shared table once it
+    covers 1..n, and converted one by one when it does not."""
+    texts = [render_instance(inst) for inst in fuzz_corpus(500)
+             if inst.graph.m < inst.graph.n <= ID_TABLE_GROWN]
+    texts.append("p 4000 3\ne 1 4000\ne 17 2\ne 3999 2\ns 1 2\nt 17 3999\n")
+    assert len(texts) >= 20
+    size = len(ids)
+    for text in texts:
+        got = outcome(parse_instance, text)
+        assert got[0] == "ok" and got == outcome(reference_parse_instance, text)
+    assert line_walks == [] and len(ids) == size
+
+
+def test_a_text_past_the_cap_leaves_the_table_within_it(ids):
+    """A K3 chain of 65,537 vertices (n <= m) is read through a table of
+    its own: the shared one keeps at most _IDS_CAP ids."""
+    n = instance_module._IDS_CAP + 1
+    edges = [(a, b) for k in range(0, n - 1, 2) for a, b in
+             ((k, k + 1), (k, k + 2), (k + 1, k + 2))]
+    g = Graph(n, edges)
+    assert g.m >= n
+    text = render_instance(Instance(g, TokenSet(g, [0]), TokenSet(g, [n - 1])))
+    size = len(ids)
+    assert outcome(parse_instance, text) == outcome(reference_parse_instance, text)
+    assert len(ids) == size <= instance_module._IDS_CAP
 
 
 def test_rendered_instances_never_enter_the_line_walk(line_walks):

@@ -1,7 +1,7 @@
 """Token-sliding independent-set reconfiguration on block graphs.
 
 A structural polynomial-time decision procedure (block-cut tree pairs,
-depth/ua invariants, capacities, fixed-point potentials, rigid vertices)
+depth/ua invariants, fixed-point potentials, rigid vertices)
 cross-validated against a brute-force state-space oracle.
 """
 
@@ -39,6 +39,7 @@ from .oracle import (
     YES,
     OracleLimits,
     StateSpace,
+    capacity_table,
     enumerate_reachable,
     never_token_vertices,
     oracle_potential,
@@ -46,7 +47,7 @@ from .oracle import (
     oracle_reachable,
     successors,
 )
-from .potential import capacity_table, compute_potentials
+from .potential import compute_potentials
 
 __all__ = [
     # blocks
@@ -69,10 +70,10 @@ __all__ = [
     # invariants
     "compute_depths", "compute_ua",
     # oracle
-    "NO", "UNKNOWN", "YES", "OracleLimits", "StateSpace", "enumerate_reachable",
-    "never_token_vertices", "oracle_potential", "oracle_potential_table",
-    "oracle_reachable", "successors",
+    "NO", "UNKNOWN", "YES", "OracleLimits", "StateSpace", "capacity_table",
+    "enumerate_reachable", "never_token_vertices", "oracle_potential",
+    "oracle_potential_table", "oracle_reachable", "successors",
     # potential
-    "capacity_table", "compute_potentials",
+    "compute_potentials",
 ]
 __version__ = "0.1.0"

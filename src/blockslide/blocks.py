@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from itertools import compress
 from operator import itemgetter
 
-from .errors import InternalError, InvalidPairError
+from .errors import InvalidPairError
 
 TO_VERTEX = "to_vertex"  # (B, u): the side kept is B's side of u
 TO_BLOCK = "to_block"  # (u, B): the side kept is everything except B's side
@@ -74,8 +74,8 @@ class BlockDecomposition:
     Pairs go by integer id, their position in the rooted order (see
     PairIndex), and every per-pair result is a list indexed by it.  pairs()
     and pair_id convert between ids and Pair objects, which only the
-    definitional queries (kappa, beta and the side walks) take and messages
-    print.
+    checker's definitional queries (kappa, beta and side in oracle.py) take
+    and messages print.
 
     Immutable after construction; all queries are pure.
     """
@@ -89,7 +89,6 @@ class BlockDecomposition:
         self.members = graph._blocks if members is None else members
         self.component = graph._component
         self._blocks = self._blocks_of = self._cut_vertices = self._trees = None
-        self._side_cache = {}
         self._index = None
         self._pairs = None
 
@@ -117,7 +116,9 @@ class BlockDecomposition:
     def cut_vertices(self):
         """The vertices lying in at least two blocks, as a frozenset."""
         if self._cut_vertices is None:
-            self._cut_vertices = frozenset(self.index().cuts)
+            self._cut_vertices = frozenset(
+                v for v, bids in enumerate(self.blocks_of) if len(bids) > 1
+            )
         return self._cut_vertices
 
     # --- block-cut tree queries -------------------------------------------
@@ -173,68 +174,6 @@ class BlockDecomposition:
                     return sides[i] if p.is_to_vertex else ix.last - sides[i]
         raise InvalidPairError(f"pair {p} is not valid for this decomposition")
 
-    def kappa(self, bid, u):
-        """Cut vertices of G[B,u] lying in B; closed form (B ∩ V_cut) \\ {u}.
-
-        The closed form is enforced against the definitional computation by
-        test, not assumed silently.
-        """
-        self.pair_id(Pair(TO_VERTEX, u, bid))
-        return frozenset(
-            v for v in self.blocks[bid] if v != u and v in self.cut_vertices
-        )
-
-    def beta(self, u, bid):
-        """Blocks of G[u,B] containing u; closed form blocks_of[u] \\ {B}."""
-        self.pair_id(Pair(TO_BLOCK, u, bid))
-        return tuple(b for b in self.blocks_of[u] if b != bid)
-
-    def side(self, p):
-        """(number of blocks, vertex set) of G[p], memoized by pair id.
-
-        The walk follows p's dependencies in the pair index: the side of
-        (B,u) is B plus the sides of the (v,B) with v != u, and the side of
-        (u,B) is u plus the sides of the (B',u) with B' != B.  In a valid
-        index the walk pops each pair at most once, so it raises
-        InternalError past len(ix.node) pops instead of running on.
-        """
-        i = self.pair_id(p)
-        side = self._side_cache.get(i)
-        if side is None:
-            ix = self.index()
-            nblocks, last = len(self.members), ix.last
-            count, verts = 0, {p.base}
-            stack = [i]
-            budget = len(ix.node)
-            while stack:
-                budget -= 1
-                if budget < 0:
-                    raise InternalError(f"the side walk from pair id {i} does not end")
-                q = stack.pop()
-                x = ix.node[q]
-                if x < nblocks:  # (B,u) starts from node B, block B itself
-                    count += 1
-                    verts.update(self.members[x])
-                stack += [r for r in ix.into[x] if r != last - q]
-            side = self._side_cache[i] = (count, frozenset(verts))
-        return side
-
-    def side_vertices(self, p):
-        """Vertex set of G[p].
-
-        For (B,u): all vertices of blocks on B's side of the tree edge u--B.
-        For (u,B): all vertices of blocks on u's side, plus u itself.
-        """
-        return self.side(p)[1]
-
-    def blocks_in_side(self, p):
-        """Number of blocks of G[p] (used for the potential upper bound).
-
-        For (B,u) this counts blocks in the tree component on B's side; for
-        (u,B) the blocks on u's side.  A base vertex alone contributes none.
-        """
-        return self.side(p)[0]
-
 
 class PairIndex:
     """Integer ids for the pairs of a decomposition, in flat lists.
@@ -259,8 +198,8 @@ class PairIndex:
     the subtree below a tree edge, children before parents; the second
     half holds their reverses in the opposite order, parents before
     children, with the pairs sharing a node next to each other.  So the
-    reverse of pair p is last - p, with last = 2 edges - 1.  Depths, ua,
-    capacities and potentials are plain lists by id, and a pass over ids in
+    reverse of pair p is last - p, with last = 2 edges - 1.  Depths, ua
+    and potentials are plain lists by id, and a pass over ids in
     increasing order can keep running totals per node: once a pair's value
     is set, it is added to the totals of node[last - p], as
     into[node[last - p]] holds p.  Each pair then reads its node's totals

@@ -20,12 +20,16 @@ from .invariants import compute_ua
 from .oracle import (
     OracleLimits,
     adjacency_masks,
+    beta,
+    capacity_table,
     enumerate_reachable,
+    kappa,
     mask_of,
     never_token_vertices,
     oracle_potential_table,
+    side,
 )
-from .potential import capacity_table, compute_potentials
+from .potential import compute_potentials
 
 
 @dataclass(frozen=True)
@@ -91,31 +95,34 @@ def evaluate_instance(inst, lim=OracleLimits()):
     against every state each set reaches (decision).  A certificate of
     another type than the reason's is reported under decision.
     Per-pair values are read by pair id.  Each pair's dependencies come from
-    the closed forms kappa and beta, not from the pair index that the
-    solver's passes walk, so the equations are checked independently of it.
+    the closed forms kappa and beta, and its side from a search of G - u
+    (all three in oracle.py), not from the pair index that the solver's
+    passes walk, so the equations, the block-count bound and the oracle's
+    interiors are checked independently of it.  The capacities, and so the
+    oracle's potentials, still come from a pass over that index.
     """
     g, c1, c2 = inst.graph, inst.source, inst.target
     failures = []
     bd = decompose(g)
     ua = compute_ua(bd)
-    pairs = bd.pairs()  # for the side walks and the messages
+    pairs = bd.pairs()  # for the sides and the messages
     m = len(bd.members)
     ncut = len(bd.cut_vertices)
     iter_bound = 2 * m * (ncut + m - 1) + 1
     adjacency = adjacency_masks(g)
     block_masks = [mask_of(b) for b in bd.members]
-    # per pair id, from one side walk: the blocks of G[p], and the mask of
-    # its interior, G[p] without the base
-    sides = list(map(bd.side, pairs))
+    # per pair id, from one search of G - u: the blocks of G[p], and the
+    # mask of its interior, G[p] without the base
+    sides = [side(bd, p) for p in pairs]
     in_side = [count for count, _ in sides]
     interior = [mask_of(vs) & ~(1 << p.base) for p, (_, vs) in zip(pairs, sides)]
     # per pair id, the ids of its dependencies: (v,B) for v in kappa(B,u),
     # (B',u) for B' in beta(u,B); per cut vertex u, the ids of all its (B,u)
     pair_id = bd.pair_id
     deps = [
-        [pair_id(Pair(TO_BLOCK, v, p.block)) for v in bd.kappa(p.block, p.base)]
+        [pair_id(Pair(TO_BLOCK, v, p.block)) for v in kappa(bd, p.block, p.base)]
         if p.is_to_vertex
-        else [pair_id(Pair(TO_VERTEX, p.base, b)) for b in bd.beta(p.base, p.block)]
+        else [pair_id(Pair(TO_VERTEX, p.base, b)) for b in beta(bd, p.base, p.block)]
         for p in pairs
     ]
     incident = {

@@ -27,8 +27,8 @@ from dataclasses import dataclass
 @dataclass
 class Ua:
     """ua(p) per pair id, and per node x the number of ua pairs in
-    into[x], which the capacity pass and the potentials' sweep start
-    from."""
+    into[x], which the potentials' sweep starts from, as does the
+    checker's capacity pass."""
 
     array: list
     counts: list

@@ -1,5 +1,7 @@
 """Brute-force ground truth: explicit BFS over token-sliding states,
-definitional potential evaluation, and never-token analysis.
+definitional potential evaluation, and never-token analysis; and the
+definitions the checker verifies the solver's tables against, which decide
+never runs.
 
 Works on arbitrary simple graphs so the block-graph validator can be tested
 negatively.  States are canonically encoded as bitmasks, bit v for vertex
@@ -7,6 +9,15 @@ v.  The oracle never goes beyond about a dozen vertices, so this module is
 the only one that builds big-int masks; mask_of, vertices_of, token_set_of
 and adjacency_masks convert to and from the graph layer for the harnesses
 that compare the two.
+
+The definitions are plain functions of a BlockDecomposition bd.  kappa and
+beta are closed forms over bd.members and bd.blocks_of, and side searches
+G - u over the graph's adjacency, so none of them reads the pair index
+that the solver's passes walk, beyond the check of their pair through
+bd.pair_id.  capacity_table is the capacity recursion, one pass over the
+pair index like the potentials' sweep (see potential.py) but freezing a
+(u,B) as soon as one other side of u is at 0 with ua; the oracle takes
+its maximum over the reachable token sets as the potential.
 """
 
 from __future__ import annotations
@@ -14,9 +25,10 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 
+from .blocks import TO_BLOCK, TO_VERTEX, Pair
+from .errors import InternalError, TruncatedSpaceError
 from .graph import TokenSet
-from .potential import capacity_table
-from .errors import TruncatedSpaceError
+from .potential import _marks
 
 YES = "yes"
 NO = "no"
@@ -145,6 +157,89 @@ def oracle_reachable(g, c1, c2, lim=OracleLimits()):
     return NO
 
 
+def kappa(bd, bid, u):
+    """Cut vertices of G[B,u] lying in B; closed form (B ∩ V_cut) \\ {u},
+    a cut vertex being one that lies in two blocks or more.
+
+    The closed form is enforced against the definitional computation by
+    test, not assumed silently.
+    """
+    bd.pair_id(Pair(TO_VERTEX, u, bid))
+    return frozenset(v for v in bd.members[bid] if v != u and len(bd.blocks_of[v]) > 1)
+
+
+def beta(bd, u, bid):
+    """Blocks of G[u,B] containing u; closed form blocks_of[u] \\ {B}."""
+    bd.pair_id(Pair(TO_BLOCK, u, bid))
+    return tuple(b for b in bd.blocks_of[u] if b != bid)
+
+
+def side(bd, p):
+    """(number of blocks, vertex set) of G[p], by a search of G - u, u
+    being p's base.  The side of (B,u) is u plus every vertex that B's
+    other vertices reach; the side of (u,B) is u plus every vertex that
+    u's neighbours outside B reach.  Its blocks are those of bd whose
+    vertices all lie in it: a block on the other side holds a vertex
+    outside it, if only because it holds u and one more vertex.
+    """
+    bd.pair_id(p)
+    u, block = p.base, bd.members[p.block]
+    adjacency = bd.graph.adjacency
+    if p.is_to_vertex:
+        stack = [v for v in block if v != u]
+    else:
+        stack = [v for v in adjacency[u] if v not in block]
+    seen = {u, *stack}
+    while stack:
+        for w in adjacency[stack.pop()]:
+            if w not in seen:
+                seen.add(w)
+                stack.append(w)
+    return sum(map(seen.issuperset, bd.members)), frozenset(seen)
+
+
+def _capacities(bd, ua, tok):
+    """cap(C[p]) for every pair id, from the token marks of C, and
+    the running totals per node x over into[x]: for a block, the sum of cap;
+    for a cut vertex, the sum of cap - ua, and the count of pairs with
+    cap = 0 and ua, which blocks its (u,B) pairs at two.  Unset caps are 0,
+    so a cut vertex starts from its ua count, which compute_ua ends with."""
+    ix = bd.index()
+    node, into, last = ix.node, ix.into, ix.last
+    nblocks = len(bd.members)
+    zeros = [0] * nblocks + ua.counts[nblocks:]
+    total = [-z for z in zeros]
+    ua = ua.array
+    cap = [0] * len(node)
+    for p, x in enumerate(node):
+        r = last - p
+        held = node[r]  # p is one of into[held]
+        if x < nblocks:
+            value = total[x] - cap[r] + ua[p] - (-1 != tok[x] != held)
+        elif len(into[x]) < 2:
+            raise InternalError(f"beta is empty at pair id {p}")
+        elif zeros[x] - (cap[r] == 0 and ua[r]):
+            value = 0
+        else:
+            value = total[x] - (cap[r] - ua[r]) + ua[p]
+        if value < 0:
+            raise InternalError(f"negative capacity at pair id {p}")
+        cap[p] = value
+        total[held] += value
+        if value and x < nblocks and ua[p]:
+            zeros[held] -= 1
+    return cap, total, zeros
+
+
+def capacity_table(bd, ua, c):
+    """cap(C[p]) per pair id for the token set C: a TokenSet or any
+    iterable of distinct vertices of bd's blocks.  Raises
+    VertexOutOfRangeError for a vertex outside the graph, BlockslideError
+    for one outside bd's blocks, and NotIndependentError for two tokens in
+    one block."""
+    return _capacities(bd, ua, _marks(bd, c))[0]
+
+
 def oracle_potential(g, bd, ua, c, p, lim=OracleLimits()):
     """Literal evaluation of the potential definition by enumerating every
     reachable token set.  Returns None (unknown) on truncation."""
@@ -152,7 +247,7 @@ def oracle_potential(g, bd, ua, c, p, lim=OracleLimits()):
     space = enumerate_reachable(g, c, lim)
     if space.truncated:
         return None
-    interior = mask_of(bd.side_vertices(p)) & ~(1 << p.base)
+    interior = mask_of(side(bd, p)[1]) & ~(1 << p.base)
     start_interior = (mask_of(c) & interior).bit_count()
     best = None
     for mask in space.visited:
@@ -176,7 +271,7 @@ def oracle_potential_table(g, bd, ua, c, lim=OracleLimits(), space=None, sides=N
     if space.truncated:
         return None
     if sides is None:  # the interior of each side: G[p] without the base
-        sides = [mask_of(bd.side_vertices(p)) & ~(1 << p.base) for p in bd.pairs()]
+        sides = [mask_of(side(bd, p)[1]) & ~(1 << p.base) for p in bd.pairs()]
     best = None  # per pair id, the largest cap + interior tokens so far
     for mask in space.visited:
         caps = capacity_table(bd, ua, vertices_of(mask))

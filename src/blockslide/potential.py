@@ -1,7 +1,6 @@
-"""Capacities of per-pair token restrictions and the fixed-point potentials.
+"""The fixed-point potentials, one value per pair id, over the flat lists
+of the pair index (BlockDecomposition.index).
 
-Both run over the flat lists of the pair index (BlockDecomposition.index)
-and give one value per pair id.
 Each pair's equation has a constant term: ua(p), minus, for a (B,u) pair,
 the tokens of B other than u.  A block is a clique and a token set is
 independent, so a block holds at most one token, and the passes read the
@@ -9,12 +8,7 @@ constant from one mark per block, not from a list by pair id: tok[B] is
 the node of B's token (its cut node, or B itself for a token that is no
 cut vertex), or -1 when B holds none.  A (B,u) pair's constant is
 ua(p) - (-1 != tok[B] != node[last - p]), node[last - p] being u's node,
-and a (u,B) pair's is ua(p).  The capacity is one pass over the pair ids,
-which follow the index's rooted order, with running totals per node: a
-pair reads its node's totals minus its reverse last - p, and adds its own
-value to the totals of node[last - p], so every pair costs O(1).
-decide does not run it: fuzz.evaluate_instance checks it, and the oracle
-takes its maximum over the reachable token sets as the potential.
+and a (u,B) pair's is ua(p).
 
 The potential is the least fixed point above 0 of G(y) = max(y, F(y)),
 where F is the right-hand side of the potential equations:
@@ -27,12 +21,15 @@ where F is the right-hand side of the potential equations:
 G is monotone and inflationary, so iterating it one pair at a time in any
 fair order from 0 reaches that fixed point L, and every iterate stays at
 most L.  compute_potentials starts with one sweep of that rule over the
-pair ids, with the same running totals as the capacity pass: unset pairs
-count as 0, a (B,u) takes its equation, and a (u,B) stays 0 while its
-node's zero count is at least two, else takes its equation.  Each step
-applies G at one pair from 0, so the sweep ends at most at L; it never
-freezes a pair the capacity pass evaluates, so its values are at least the
-capacities and a negative one is an invariant violation.
+pair ids, which follow the index's rooted order, with running totals per
+node: a pair reads its node's totals minus its reverse last - p, and adds
+its own value to the totals of node[last - p], so every pair costs O(1).
+Unset pairs count as 0, a (B,u) takes its equation, and a (u,B) stays 0
+while its node's zero count is at least two, else takes its equation.
+Each step applies G at one pair from 0, so the sweep ends at most at L;
+it never freezes a pair that the capacity recursion (oracle.py) evaluates,
+so its values are at least the capacities and a negative one is an
+invariant violation.
 iteration_count is the number of increases after the sweep plus one: with
 every increase at least 1 and each L(p) at most the blocks on p's side, it
 stays within 2m(ncut+m-1)+1 for m blocks and ncut cut vertices.
@@ -97,56 +94,18 @@ def _marks(bd, c):
     return tok
 
 
-def _capacities(bd, ua, tok):
-    """cap(C[p]) for every pair id, from the token marks of C, and
-    the running totals per node x over into[x]: for a block, the sum of cap;
-    for a cut vertex, the sum of cap - ua, and the count of pairs with
-    cap = 0 and ua, which blocks its (u,B) pairs at two.  Unset caps are 0,
-    so a cut vertex starts from its ua count, which compute_ua ends with."""
-    ix = bd.index()
-    node, into, last = ix.node, ix.into, ix.last
-    nblocks = len(bd.members)
-    zeros = [0] * nblocks + ua.counts[nblocks:]
-    total = [-z for z in zeros]
-    ua = ua.array
-    cap = [0] * len(node)
-    for p, x in enumerate(node):
-        r = last - p
-        held = node[r]  # p is one of into[held]
-        if x < nblocks:
-            value = total[x] - cap[r] + ua[p] - (-1 != tok[x] != held)
-        elif len(into[x]) < 2:
-            raise InternalError(f"beta is empty at pair id {p}")
-        elif zeros[x] - (cap[r] == 0 and ua[r]):
-            value = 0
-        else:
-            value = total[x] - (cap[r] - ua[r]) + ua[p]
-        if value < 0:
-            raise InternalError(f"negative capacity at pair id {p}")
-        cap[p] = value
-        total[held] += value
-        if value and x < nblocks and ua[p]:
-            zeros[held] -= 1
-    return cap, total, zeros
-
-
-def capacity_table(bd, ua, c):
-    """cap(C[p]) per pair id for the token set C: a TokenSet or any
-    iterable of distinct vertices of bd's blocks.  Raises
-    VertexOutOfRangeError for a vertex outside the graph, BlockslideError
-    for one outside bd's blocks, and NotIndependentError for two tokens in
-    one block."""
-    return _capacities(bd, ua, _marks(bd, c))[0]
-
-
 def _sweep(bd, ua, tok):
     """One pass of the potential's own rule over the pair ids, from the
     token marks of C, with unset pairs counted as 0: a (B,u) takes
     its equation, and a (u,B) stays 0 while its node's zero count is at
     least two, else takes its equation.  Returns the values; the running
-    totals and zero counts per node, as _capacities keeps them; and the
-    pairs the pass may leave below their equation, in id order: the (u,B)
-    pairs it left at 0 whose node's zero count fell below two later."""
+    totals per node x over into[x]: for a block, the sum of y, for a cut
+    vertex, the sum of y - ua; the zero counts per node, of the pairs in
+    into[x] with y = 0 and ua, which freeze a cut vertex's (u,B) pairs at
+    two; and the pairs the pass may leave below their equation, in id
+    order: the (u,B) pairs it left at 0 whose node's zero count fell below
+    two later.  Unset values are 0, so a cut vertex starts from its ua
+    count, which compute_ua ends with."""
     ix = bd.index()
     node, into, last = ix.node, ix.into, ix.last
     nblocks = len(bd.members)

@@ -20,6 +20,7 @@ from blockslide import (
     gen_block_graph,
 )
 from blockslide.fuzz import FuzzEnvelope, gen_fuzz_instance
+from blockslide.oracle import beta, kappa, side
 
 
 # --- hand-built graphs ----------------------------------------------------
@@ -140,20 +141,20 @@ def shuffled_unions(rng):
 
 def side_subgraph(bd, p):
     """(subgraph of G[p], id of the base vertex inside it)."""
-    verts = sorted(bd.side_vertices(p))
+    verts = sorted(side(bd, p)[1])
     sub, to_sub, _ = bd.graph.induced(verts)
     return sub, to_sub[p.base]
 
 
 def slow_depth(bd, p):
     if p.is_to_vertex:
-        kap = bd.kappa(p.block, p.base)
+        kap = kappa(bd, p.block, p.base)
         if not kap:
             return 0
         return 1 + max(slow_depth(bd, Pair(TO_BLOCK, v, p.block)) for v in kap)
     return 1 + max(
         slow_depth(bd, Pair(TO_VERTEX, p.base, b))
-        for b in bd.beta(p.base, p.block)
+        for b in beta(bd, p.base, p.block)
     )
 
 
@@ -161,12 +162,12 @@ def slow_ua(bd, p):
     if slow_depth(bd, p) == 0:
         return True
     if p.is_to_vertex:
-        kap = bd.kappa(p.block, p.base)
+        kap = kappa(bd, p.block, p.base)
         inner = all(slow_ua(bd, Pair(TO_BLOCK, v, p.block)) for v in kap)
         return not (inner and bd.blocks[p.block] == kap | {p.base})
     return any(
         slow_ua(bd, Pair(TO_VERTEX, p.base, b))
-        for b in bd.beta(p.base, p.block)
+        for b in beta(bd, p.base, p.block)
     )
 
 
@@ -179,12 +180,12 @@ def slow_capacity(bd, c, p):
         )
         return (
             sum(slow_capacity(bd, c, Pair(TO_BLOCK, v, bid))
-                for v in bd.kappa(bid, u))
+                for v in kappa(bd, bid, u))
             + int(slow_ua(bd, p))
             - in_block
         )
     u, bid = p.base, p.block
-    children = [Pair(TO_VERTEX, u, b) for b in bd.beta(u, bid)]
+    children = [Pair(TO_VERTEX, u, b) for b in beta(bd, u, bid)]
     if any(slow_capacity(bd, c, q) == 0 and slow_ua(bd, q) for q in children):
         return 0
     return (
@@ -197,7 +198,7 @@ def slow_kappa(bd, bid, u):
     """Cut vertices of the side graph G[B,u] that lie in B, computed by
     actually decomposing the side graph."""
     p = Pair(TO_VERTEX, u, bid)
-    verts = sorted(bd.side_vertices(p))
+    verts = sorted(side(bd, p)[1])
     sub, to_sub, to_orig = bd.graph.induced(verts)
     sub_bd = decompose(sub)
     return frozenset(
@@ -209,7 +210,7 @@ def slow_beta(bd, u, bid):
     """Blocks of the side graph G[u,B] that contain u, matched back to the
     ambient decomposition's block ids."""
     p = Pair(TO_BLOCK, u, bid)
-    verts = sorted(bd.side_vertices(p))
+    verts = sorted(side(bd, p)[1])
     sub, to_sub, to_orig = bd.graph.induced(verts)
     sub_bd = decompose(sub)
     out = []

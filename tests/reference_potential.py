@@ -9,7 +9,7 @@ values; its iteration_count is counted differently (see test_potential).
 from dataclasses import dataclass
 
 from blockslide import TO_BLOCK, TO_VERTEX, Pair
-from blockslide.oracle import mask_of
+from blockslide.oracle import beta, kappa, mask_of
 
 
 def _tokens_in_block_interior(bd, mask, bid, base):
@@ -39,14 +39,14 @@ def restart_sweep_potentials(bd, ua, c):
     for i, p in enumerate(pair_list):
         if p.is_to_vertex:
             deps[i] = [
-                index[Pair(TO_BLOCK, v, p.block)] for v in bd.kappa(p.block, p.base)
+                index[Pair(TO_BLOCK, v, p.block)] for v in kappa(bd, p.block, p.base)
             ]
             const[i] = ua_arr[i] - _tokens_in_block_interior(
                 bd, mask_of(c), p.block, p.base
             )
         else:
             deps[i] = [
-                index[Pair(TO_VERTEX, p.base, b)] for b in bd.beta(p.base, p.block)
+                index[Pair(TO_VERTEX, p.base, b)] for b in beta(bd, p.base, p.block)
             ]
             siblings[i] = [
                 index[Pair(TO_VERTEX, p.base, b)] for b in bd.blocks_of[p.base]

@@ -14,15 +14,18 @@ import pytest
 import blockslide
 import blockslide.fuzz as fuzz_mod
 from blockslide import (
-    BlockDecomposition,
     Graph,
     Instance,
     InternalError,
     Reachable,
     Reason,
     TokenSet,
+    compute_potentials,
+    compute_ua,
     decide,
+    decompose,
 )
+from blockslide.blocks import PairIndex
 from blockslide.fuzz import evaluate_instance, gen_fuzz_instance
 
 # The package attribute blockslide.decide is the function.
@@ -46,7 +49,7 @@ def negative_capacities(monkeypatch):
 
 def empty_kappa(monkeypatch):
     """kappa(B,u) loses every cut vertex, so (B,u) depends on nothing."""
-    monkeypatch.setattr(BlockDecomposition, "kappa", lambda self, bid, u: frozenset())
+    monkeypatch.setattr(fuzz_mod, "kappa", lambda bd, bid, u: frozenset())
 
 
 def runaway_iteration_count(monkeypatch):
@@ -126,6 +129,46 @@ def test_zero_side_without_a_token_is_reported(monkeypatch):
         found == "rigid" and "holds no token of its block" in message
         for found, message in report.violations
     )
+
+
+def swapped_into_entries(monkeypatch):
+    """Every pair index, once built, swaps the first entries of the into
+    lists of its two lowest blocks that have one, so each of those blocks
+    holds a (v,B) pair of the other in place of its own."""
+    original = PairIndex.__init__
+
+    def init(self, bd):
+        original(self, bd)
+        held = [x for x in range(len(bd.members)) if self.into[x]][:2]
+        if len(held) == 2:
+            a, b = held
+            into = list(self.into)
+            into[a], into[b] = (into[b][0], *into[a][1:]), (into[a][0], *into[b][1:])
+            self.into = tuple(into)
+
+    monkeypatch.setattr(PairIndex, "__init__", init)
+
+
+def test_a_fault_in_the_into_lists_is_reported(monkeypatch):
+    """On fuzz seed 131, the swapped into entries leave two of the
+    source's potentials short of the fixed point: the worklist requeues
+    the dependants of a pair that rises through into.  The checks read
+    each pair's dependencies from kappa and beta and its side from a
+    graph search, none of which reads into, so they do not share the
+    fault and report it."""
+    inst = gen_fuzz_instance(131)
+
+    def potentials():
+        bd = decompose(inst.graph)
+        ua = compute_ua(bd)
+        return [compute_potentials(bd, ua, c).array for c in (inst.source, inst.target)]
+
+    clean = potentials()
+    assert evaluate_instance(inst).violations == []
+    swapped_into_entries(monkeypatch)
+    assert potentials() != clean
+    report = evaluate_instance(inst)
+    assert {found for found, _ in report.violations} == {"fixedpoint", "potential"}
 
 
 def test_decide_rigid_set_off_the_full_forest_is_reported(monkeypatch):

@@ -7,6 +7,7 @@ from blockslide import (
     compute_ua,
     decompose,
 )
+from blockslide.oracle import kappa
 from conftest import fuzz_corpus, slow_depth, slow_ua
 
 import pytest
@@ -88,7 +89,7 @@ def test_depth_zero_iff_no_inner_cuts(idx):
     bd, d, ua = tables(g)
     for p in bd.pairs():
         if p.is_to_vertex:
-            assert (d(p) == 0) == (not bd.kappa(p.block, p.base))
+            assert (d(p) == 0) == (not kappa(bd, p.block, p.base))
         else:
             assert d(p) >= 1
         if d(p) == 0:

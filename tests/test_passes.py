@@ -16,6 +16,7 @@ from pathlib import Path
 import pytest
 
 import blockslide
+import blockslide.oracle as oracle
 import blockslide.potential as potential
 from blockslide import (
     Instance,
@@ -116,7 +117,7 @@ def test_capacity_totals_equal_fresh_sums():
         bd = decompose(inst.graph)
         ua = compute_ua(bd)
         for c in (inst.source, inst.target):
-            cap, total, zeros = potential._capacities(bd, ua, potential._marks(bd, c))
+            cap, total, zeros = oracle._capacities(bd, ua, potential._marks(bd, c))
             assert (total, zeros) == reference_totals(bd, ua.array, cap)
 
 
@@ -133,7 +134,7 @@ def test_decide_runs_no_capacity_pass():
         raise AssertionError("decide ran the capacity pass")
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(potential, "_capacities", refuse)
+        mp.setattr(oracle, "_capacities", refuse)
         for inst in corpus:
             decide(inst.graph, inst.source, inst.target)
     for inst in corpus:
@@ -144,8 +145,8 @@ def test_decide_runs_no_capacity_pass():
             assert capacity_table(bd, ua, c) == reference_capacities(bd, ua.array, const)
 
 
-def _run_checks_under_optimize(name):
-    """Feed the pass `name` of blockslide.potential a token mark on a block
+def _run_checks_under_optimize(module, name):
+    """Feed the pass `name` of blockslide.`module` a token mark on a block
     whose (B,u) pair has its ua patched to False, so that its constant is
     negative, and then an index whose cut vertex has one side only, under
     python -O, and return the InternalError messages it printed."""
@@ -154,7 +155,8 @@ def _run_checks_under_optimize(name):
         "if __debug__:\n"
         "    sys.exit('not running under -O')\n"
         "from blockslide import Graph, InternalError, compute_ua, decompose\n"
-        f"from blockslide.potential import _marks, {name} as run\n"
+        "from blockslide.potential import _marks\n"
+        f"from blockslide.{module} import {name} as run\n"
         "bd = decompose(Graph(3, [(0, 1), (1, 2)]))\n"
         "ua = compute_ua(bd)\n"
         "ix = bd.index()\n"
@@ -180,7 +182,7 @@ def _run_checks_under_optimize(name):
 def test_capacity_checks_fire_under_optimize():
     """Both InternalError checks of the capacity pass are plain raises, so
     they still fire under python -O."""
-    assert _run_checks_under_optimize("_capacities") == [
+    assert _run_checks_under_optimize("oracle", "_capacities") == [
         "negative capacity at pair id 0",
         "beta is empty at pair id 1",
     ]
@@ -189,7 +191,7 @@ def test_capacity_checks_fire_under_optimize():
 def test_sweep_checks_fire_under_optimize():
     """Both InternalError checks of the potentials' sweep are plain raises,
     so they still fire under python -O."""
-    assert _run_checks_under_optimize("_sweep") == [
+    assert _run_checks_under_optimize("potential", "_sweep") == [
         "negative sweep value at pair id 0",
         "beta is empty at pair id 1",
     ]

@@ -19,6 +19,7 @@ from blockslide import (
     oracle_potential,
     oracle_potential_table,
 )
+from blockslide.oracle import side
 from conftest import fuzz_corpus, slow_capacity, union_corpus
 from reference_potential import restart_sweep_potentials
 
@@ -86,7 +87,7 @@ def test_potential_dominates_capacity(idx):
         table = capacity_table(bd, ua, c)
         for p, x, cap in zip(bd.pairs(), pot.array, table, strict=True):
             assert x >= cap >= 0
-            assert x <= bd.blocks_in_side(p)
+            assert x <= side(bd, p)[0]
 
 
 @pytest.mark.parametrize("idx", range(0, 80, 8))
